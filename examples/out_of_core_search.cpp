@@ -127,7 +127,7 @@ int main() {
   auto outcomes = session.Drain();
 
   // 5. Outcomes arrive in submission order with deterministic merged
-  // results (byte-identical to a serial SearchPartitions loop).
+  // results (identical to the engine's own serial Execute).
   std::printf("\nserved %zu queries:\n", outcomes.size());
   for (size_t i = 0; i < outcomes.size(); ++i) {
     if (!outcomes[i].status.ok()) {

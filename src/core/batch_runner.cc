@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "core/part_executor.h"
 
 namespace pexeso {
 
@@ -25,6 +26,7 @@ BatchResult BatchQueryRunner::Run(const std::vector<JoinQuery>& queries) const {
   BatchResult out;
   out.results.resize(queries.size());
   out.statuses.resize(queries.size());
+  out.part_statuses.resize(queries.size());
   Stopwatch watch;
   // One stats scratch slot per query: workers never share a slot, and the
   // serial input-order merge below keeps the floating-point sums identical
@@ -85,6 +87,7 @@ BatchResult BatchQueryRunner::Run(const std::vector<JoinQuery>& queries) const {
     CollectSink sink;
     out.statuses[i] = engine_->Execute(jq, &sink, &scratch[i]);
     out.results[i] = std::move(sink).TakeColumns();
+    out.part_statuses[i] = sink.part_statuses();
   };
 
   if (partition_major) {
@@ -110,35 +113,27 @@ void BatchQueryRunner::RunPartitionMajor(const PartitionedJoinEngine& parts,
   if (outer_threads > 1 && n > 1) {
     pool = std::make_unique<ThreadPool>(std::min(outer_threads, n));
   }
+  // Every query runs its parts through the part executor: the same step
+  // (kTopK bound, interruption skip) and gather (failure doctrine,
+  // canonical merge) as its own Execute, so the outcome equals the
+  // query-major path whatever order the waves ran in.
+  std::vector<std::unique_ptr<PartScatter>> scatters;
+  scatters.reserve(n);
+  for (const JoinQuery& jq : queries) {
+    scatters.push_back(std::make_unique<PartScatter>(&parts, &jq));
+  }
   double io = 0.0;
   for (size_t part = 0; part < parts.NumParts(); ++part) {
     // One load per partition per batch: the handle keeps the partition
-    // resident while every query of the wave searches it IO-free.
-    auto handle = parts.AcquirePart(part, &io);
-    // Same environment-fault doctrine as the legacy Search on a
-    // partitioned engine: files were validated at Build/Open time.
-    PEXESO_CHECK_MSG(handle.ok(), handle.status().ToString().c_str());
-    const PartHandle held = std::move(handle).ValueOrDie();
+    // resident while every query of the wave searches it IO-free. A load
+    // that fails is that part's failure for every query.
+    const Result<PartHandle> handle = parts.AcquirePart(part, &io);
     const auto search_one = [&](size_t i) {
-      // A query that already tripped (or failed) stops burning the pool:
-      // its remaining parts are skipped outright.
-      if (!out->statuses[i].ok()) return;
-      const Status live = queries[i].CheckLive();
-      if (!live.ok()) {
-        ++(*scratch)[i].deadline_expired;
-        out->statuses[i] = live;
-        return;
+      if (handle.ok()) {
+        scatters[i]->Step(part, handle.value());
+      } else {
+        scatters[i]->slot(part).status = handle.status();
       }
-      auto chunk =
-          parts.SearchPart(part, queries[i], &(*scratch)[i], nullptr, held);
-      if (!chunk.ok()) {
-        out->statuses[i] = chunk.status();
-        return;
-      }
-      auto results = std::move(chunk).ValueOrDie();
-      out->results[i].insert(out->results[i].end(),
-                             std::make_move_iterator(results.begin()),
-                             std::make_move_iterator(results.end()));
     };
     if (pool != nullptr) {
       pool->ParallelFor(n, search_one);
@@ -146,11 +141,11 @@ void BatchQueryRunner::RunPartitionMajor(const PartitionedJoinEngine& parts,
       for (size_t i = 0; i < n; ++i) search_one(i);
     }
   }
-  // Chunks landed in partition order per query; one canonical mode-aware
-  // merge makes the output byte-identical to the query-major path (kTopK
-  // chunks are per-part local top-ks, re-ranked and truncated here).
   for (size_t i = 0; i < n; ++i) {
-    FinishQueryMerge(queries[i], &out->results[i]);
+    CollectSink sink;
+    out->statuses[i] = scatters[i]->Gather(&sink, &(*scratch)[i]);
+    out->results[i] = sink.TakeColumns();
+    out->part_statuses[i] = sink.part_statuses();
   }
   out->io_seconds = io;
 }

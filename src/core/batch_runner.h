@@ -2,6 +2,7 @@
 #define PEXESO_CORE_BATCH_RUNNER_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -39,8 +40,11 @@ struct BatchResult {
   /// statuses[i] is queries[i]'s execution status: OK for a complete
   /// search, Cancelled/DeadlineExceeded when that query's controls tripped
   /// (results[i] then holds whatever completed — valid partial results),
-  /// or the failure of the part that broke it.
+  /// or, for a part engine, the first failure when every part failed.
   std::vector<Status> statuses;
+  /// part_statuses[i] lists the parts missing from or incomplete in
+  /// results[i] (ResultSink::OnPartStatus of a part engine's gather).
+  std::vector<std::vector<std::pair<size_t, Status>>> part_statuses;
   /// Counters of every search, merged in input order: the counter fields
   /// are identical at any thread count (the *_seconds fields are wall-clock
   /// measurements and naturally vary run to run).

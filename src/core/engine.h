@@ -65,14 +65,26 @@ Result<std::vector<JoinableColumn>> ExecuteCollect(
 /// index behind the scenes).
 using PartHandle = std::shared_ptr<const void>;
 
+/// \brief One part's answer to a query: its columns (global column ids,
+/// unsorted) and a gap status — OK when the answer is complete, non-OK
+/// when the part answered knowingly incompletely (a live-lake part whose
+/// base was quarantined answers from its deltas only).
+struct PartAnswer {
+  std::vector<JoinableColumn> columns;
+  Status gap;
+};
+
 /// \brief Optional second interface for engines whose repository is split
-/// into independently-searchable parts (the out-of-core PartitionedPexeso).
+/// into independently-searchable parts (PartitionedPexeso, the live lake,
+/// a shard's part subset).
 ///
 /// The serving layer builds on "search ONE part" rather than the all-parts
 /// Execute above: the batch runner's partition-major loop pays each part's
 /// load once per batch instead of once per query, and ServeSession streams
-/// per-part result chunks as they complete. Implementations expose both
-/// interfaces (`class X : public JoinSearchEngine, public
+/// per-part result chunks as they complete. Every schedule runs its parts
+/// through the one part executor (core/part_executor.h), which owns the
+/// cross-part kTopK floor and the failure doctrine. Implementations expose
+/// both interfaces (`class X : public JoinSearchEngine, public
 /// PartitionedJoinEngine`); drivers discover the second via dynamic_cast.
 class PartitionedJoinEngine {
  public:
@@ -88,21 +100,20 @@ class PartitionedJoinEngine {
   virtual Result<PartHandle> AcquirePart(size_t part,
                                          double* io_seconds) const = 0;
 
-  /// Executes `query` against part `part` only. Results are keyed by
-  /// *global* column ids but not sorted; callers concatenate chunks in part
-  /// order and call FinishQueryMerge once. kTopK queries return the part's
-  /// LOCAL top-k (with query.topk_floor seeding the prune bound), which the
-  /// merge re-ranks — columns live in exactly one part, so the k best of
-  /// the concatenated local top-ks are the global top-k. The query's
-  /// deadline/cancel controls are honored per part (a tripped part returns
+  /// Executes `query` against part `part` only. kTopK queries return the
+  /// part's LOCAL top-k (with query.topk_floor seeding the prune bound),
+  /// which FinishQueryMerge re-ranks — columns live in exactly one part, so
+  /// the k best of the concatenated local top-ks are the global top-k. The
+  /// query's deadline/cancel controls are honored (a tripped part returns
   /// Cancelled/DeadlineExceeded). When `preloaded` is a handle from
   /// AcquirePart of the same part, the call is guaranteed IO-free;
   /// otherwise the part is acquired internally and `io_seconds` (optional)
   /// is incremented by the load share — including on the error path, so IO
   /// accounting survives a failed load.
-  virtual Result<std::vector<JoinableColumn>> SearchPart(
-      size_t part, const JoinQuery& query, SearchStats* stats,
-      double* io_seconds, const PartHandle& preloaded) const = 0;
+  virtual Result<PartAnswer> SearchPart(size_t part, const JoinQuery& query,
+                                        SearchStats* stats,
+                                        double* io_seconds,
+                                        const PartHandle& preloaded) const = 0;
 
   /// True when per-part working sets are expected to stay resident across
   /// queries (an attached cache whose budget holds every part), making the

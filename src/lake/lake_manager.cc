@@ -11,6 +11,7 @@
 #include "common/failpoint.h"
 #include "common/fs_util.h"
 #include "common/stopwatch.h"
+#include "core/part_executor.h"
 #include "lake/fsck.h"
 #include "lake/manifest.h"
 
@@ -520,7 +521,7 @@ Result<PartHandle> LakeManager::AcquirePart(size_t part,
       std::shared_ptr<const LoadedPart>(std::move(handle)));
 }
 
-Result<std::vector<JoinableColumn>> LakeManager::SearchSnapshot(
+Result<PartAnswer> LakeManager::SearchSnapshot(
     const PartSnapshot& snap, const serve::IndexCache::IndexPtr& base,
     const JoinQuery& query, SearchStats* stats, double* io_seconds) const {
   if (stats != nullptr) {
@@ -534,7 +535,14 @@ Result<std::vector<JoinableColumn>> LakeManager::SearchSnapshot(
   JoinQuery jq = query;
   if (jq.mode == QueryMode::kTopK) jq.k += snap.tombstones->size();
 
-  std::vector<JoinableColumn> merged;
+  PartAnswer answer;
+  std::vector<JoinableColumn>& merged = answer.columns;
+  if (snap.quarantined) {
+    // The base was moved aside by recovery: the deltas below answer, but
+    // the part's answer is knowingly incomplete.
+    answer.gap = snap.health.ok() ? Status::Corruption("part base quarantined")
+                                  : snap.health;
+  }
   if (!snap.base_path.empty()) {
     serve::IndexCache::IndexPtr held = base;
     if (held == nullptr) {
@@ -556,10 +564,10 @@ Result<std::vector<JoinableColumn>> LakeManager::SearchSnapshot(
                   std::make_move_iterator(results.end()));
   }
   MaskTombstones(*snap.tombstones, &merged, stats);
-  return merged;
+  return answer;
 }
 
-Result<std::vector<JoinableColumn>> LakeManager::SearchPart(
+Result<PartAnswer> LakeManager::SearchPart(
     size_t part, const JoinQuery& query, SearchStats* stats,
     double* io_seconds, const PartHandle& preloaded) const {
   if (preloaded != nullptr) {
@@ -573,73 +581,9 @@ Result<std::vector<JoinableColumn>> LakeManager::SearchPart(
 
 Status LakeManager::Execute(const JoinQuery& jq, ResultSink* sink,
                             SearchStats* stats) const {
-  PEXESO_CHECK(jq.vectors != nullptr);
-  PEXESO_CHECK(sink != nullptr);
-  SearchStats local;
-  if (stats == nullptr) stats = &local;
-  const bool topk_mode = jq.mode == QueryMode::kTopK;
-
-  std::vector<JoinableColumn> merged;
-  // Cross-part kTopK pushdown over SURVIVING counts only: the floor a part
-  // establishes is what the next part's columns must beat to enter the
-  // final (post-mask) top-k.
-  TopKBound bound(jq.k, jq.topk_floor);
-  Status final_st;
-  size_t failed_parts = 0;
-  Status first_failure;
-  bool partial = false;
-  for (size_t part = 0; part < parts_.size(); ++part) {
-    Status live = jq.CheckLive();
-    if (!live.ok()) {
-      ++stats->deadline_expired;
-      final_st = live;
-      break;
-    }
-    JoinQuery part_jq = jq;
-    if (topk_mode) part_jq.topk_floor = bound.bound();
-    auto snap = Snapshot(part);
-    auto chunk = SearchSnapshot(*snap, nullptr, part_jq, stats, nullptr);
-    if (!chunk.ok()) {
-      if (chunk.status().interrupted()) {
-        // Interruption keeps completed parts' columns as partial results.
-        final_st = chunk.status();
-        break;
-      }
-      // Environment fault on THIS part (unloadable base): degraded-mode
-      // serving reports the gap per-part and keeps going — the other parts'
-      // answers are still worth returning.
-      ++failed_parts;
-      if (first_failure.ok()) first_failure = chunk.status();
-      sink->OnPartStatus(part, chunk.status());
-      partial = true;
-      continue;
-    }
-    if (snap->quarantined) {
-      // The part answered, but only from its deltas: its base was moved
-      // aside by recovery, so the answer is knowingly incomplete.
-      sink->OnPartStatus(part, snap->health.ok()
-                                   ? Status::Corruption("part base quarantined")
-                                   : snap->health);
-      partial = true;
-    }
-    auto results = std::move(chunk).ValueOrDie();
-    if (topk_mode) {
-      for (const auto& jc : results) bound.Offer(jc.match_count);
-    }
-    merged.insert(merged.end(), std::make_move_iterator(results.begin()),
-                  std::make_move_iterator(results.end()));
-  }
-  if (partial) ++stats->partial_responses;
-  if (!parts_.empty() && failed_parts == parts_.size()) {
-    // Nothing answered: that is a failed query, not a partial one.
-    final_st = first_failure;
-    sink->OnDone(final_st);
-    return final_st;
-  }
-  FinishQueryMerge(jq, &merged);
-  for (auto& jc : merged) sink->OnColumn(std::move(jc));
-  sink->OnDone(final_st);
-  return final_st;
+  // kTopK pushdown runs over SURVIVING counts only: a part's chunk is
+  // masked before the executor offers it to the cross-part bound.
+  return ExecuteParts(*this, jq, sink, stats);
 }
 
 bool LakeManager::PartsStayResident() const {

@@ -228,12 +228,11 @@ class LakeManager : public JoinSearchEngine, public PartitionedJoinEngine {
   const char* name() const override { return "lake"; }
 
   /// Searches every part's base + deltas serially in part order with
-  /// tombstone masking, then the canonical mode-aware merge. Deadline /
-  /// cancel / kTopK cross-part floor semantics match PartitionedPexeso.
-  /// A part whose base cannot be loaded (or was quarantined) does not fail
-  /// the query: its Status goes to sink->OnPartStatus, the other parts'
-  /// results are delivered, and stats->partial_responses is bumped. The
-  /// query fails outright only when EVERY part failed.
+  /// tombstone masking through the part executor (ExecuteParts): the same
+  /// deadline / cancel / kTopK floor semantics and failure doctrine as
+  /// every part engine. A part whose base cannot be loaded, or was
+  /// quarantined, is reported through sink->OnPartStatus while the other
+  /// parts are delivered; the query fails only when EVERY part failed.
   Status Execute(const JoinQuery& query, ResultSink* sink,
                  SearchStats* stats) const override;
 
@@ -245,9 +244,11 @@ class LakeManager : public JoinSearchEngine, public PartitionedJoinEngine {
   /// the state of the lake as of acquisition even if merges land meanwhile.
   Result<PartHandle> AcquirePart(size_t part,
                                  double* io_seconds) const override;
-  Result<std::vector<JoinableColumn>> SearchPart(
-      size_t part, const JoinQuery& query, SearchStats* stats,
-      double* io_seconds, const PartHandle& preloaded) const override;
+  /// A quarantined part answers from its deltas with the quarantine
+  /// reason as the answer's gap.
+  Result<PartAnswer> SearchPart(size_t part, const JoinQuery& query,
+                                SearchStats* stats, double* io_seconds,
+                                const PartHandle& preloaded) const override;
   bool PartsStayResident() const override;
 
  private:
@@ -307,10 +308,11 @@ class LakeManager : public JoinSearchEngine, public PartitionedJoinEngine {
                                                double* io_seconds) const;
 
   /// Searches base + deltas of one snapshot (base preloaded or loaded
-  /// here), masks tombstones, returns the unsorted chunk. Applies the
-  /// kTopK k' = k + |tombstones| widening internally and counts
+  /// here), masks tombstones, returns the unsorted chunk (with the
+  /// quarantine gap when the base was moved aside). Applies the kTopK
+  /// k' = k + |tombstones| widening internally and counts
   /// quarantined/degraded encounters into `stats`.
-  Result<std::vector<JoinableColumn>> SearchSnapshot(
+  Result<PartAnswer> SearchSnapshot(
       const PartSnapshot& snap, const serve::IndexCache::IndexPtr& base,
       const JoinQuery& query, SearchStats* stats, double* io_seconds) const;
 

@@ -176,7 +176,9 @@ Status PexesoClient::DispatchFrame(Frame&& frame, std::string* stats_text,
       if (msg.part < p.part_columns.size()) {
         p.part_columns[msg.part] = std::move(msg.columns);
       }
-      if (!msg.status.ok()) {
+      // Interrupted parts are reported by the query's final status, like
+      // the part executor's gather does; failed and incomplete parts here.
+      if (!msg.status.ok() && !msg.status.interrupted()) {
         p.part_statuses.emplace_back(msg.part, msg.status);
       }
       return Status::OK();
@@ -230,8 +232,8 @@ ClientQueryResult PexesoClient::TakeResult(uint64_t query_id) {
   result.stats = p.stats;
   result.part_statuses = std::move(p.part_statuses);
   // Part order is the deterministic reassembly order regardless of how the
-  // chunks raced on the wire; the merge then mirrors ServeSession's
-  // FinalizeLocked exactly.
+  // chunks raced on the wire; the merge then mirrors the part executor's
+  // gather exactly.
   if (result.status.ok() || result.status.interrupted()) {
     for (auto& chunk : p.part_columns) {
       result.columns.insert(result.columns.end(),

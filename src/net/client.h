@@ -40,7 +40,8 @@ struct ClientQueryResult {
   Status status;  ///< the query's final status from the DONE frame
   std::vector<JoinableColumn> columns;
   SearchStats stats;  ///< server-side counters for this query
-  /// Parts that contributed a non-OK chunk (degraded/partial serving).
+  /// Parts that failed or answered incompletely while the query still
+  /// answered (degraded serving); interruptions show in `status` only.
   std::vector<std::pair<size_t, Status>> part_statuses;
 };
 

@@ -48,30 +48,18 @@ class PartitionedPexeso : public JoinSearchEngine,
   /// both methods under the identical load-one-partition-at-a-time protocol.
   enum class Engine { kPexeso, kPexesoH };
 
-  /// Searches every partition, loading each from disk in turn. Results are
-  /// keyed by global column ids. `stats` (optional) accumulates across
-  /// partitions; `io_seconds` (optional) reports the disk-loading share —
-  /// including on the error path, so a failed partition load still accounts
-  /// the IO it burned before failing.
-  /// This is the status-returning workhorse behind Execute.
-  Result<std::vector<JoinableColumn>> SearchPartitions(
-      const JoinQuery& query, SearchStats* stats,
-      double* io_seconds = nullptr, Engine engine = Engine::kPexeso) const;
-
   const char* name() const override {
     return engine_ == Engine::kPexeso ? "pexeso-part" : "pexeso-h-part";
   }
 
-  /// Engine-interface entry point: searches every partition with the
-  /// per-partition engine selected by set_engine() (PEXESO by default),
-  /// serially in part order. kTopK requests carry the running k-th-best
-  /// bound ACROSS partitions: each part searches with the bound the
-  /// previous parts established (JoinQuery::topk_floor), so later parts
-  /// prune against everything already found. A deadline/cancel trip
-  /// between parts emits the completed parts' columns as partial results
-  /// with the interruption status; an I/O failure (an environment fault —
-  /// partition files were validated at Build/Open time) is returned as its
-  /// status with no columns.
+  /// Engine-interface entry point: searches every partition serially in
+  /// part order through the part executor (ExecuteParts) with the
+  /// per-partition engine selected by set_engine() (PEXESO by default).
+  /// kTopK requests carry the running k-th-best bound ACROSS partitions,
+  /// so later parts prune against everything already found. A partition
+  /// that fails to load degrades the answer (ResultSink::OnPartStatus) and
+  /// the query fails only when every partition failed; a deadline/cancel
+  /// trip returns the completed parts as partial results.
   Status Execute(const JoinQuery& query, ResultSink* sink,
                  SearchStats* stats) const override;
 
@@ -79,9 +67,14 @@ class PartitionedPexeso : public JoinSearchEngine,
   size_t NumParts() const override { return num_parts_; }
   Result<PartHandle> AcquirePart(size_t part,
                                  double* io_seconds) const override;
-  Result<std::vector<JoinableColumn>> SearchPart(
-      size_t part, const JoinQuery& query, SearchStats* stats,
-      double* io_seconds, const PartHandle& preloaded) const override;
+  /// Searches one partition (preloaded handle > cache > direct load) and
+  /// remaps results to global column ids. For kTopK the inner engine ranks
+  /// by part-LOCAL column ids, but the partitioner appends columns to each
+  /// part in ascending global id, so local order == global order and the
+  /// remap preserves the ranking's tie-breaks.
+  Result<PartAnswer> SearchPart(size_t part, const JoinQuery& query,
+                                SearchStats* stats, double* io_seconds,
+                                const PartHandle& preloaded) const override;
   bool PartsStayResident() const override;
 
   /// Routes partition loads through `cache` (borrowed; must outlive this
@@ -106,17 +99,6 @@ class PartitionedPexeso : public JoinSearchEngine,
  private:
   PartitionedPexeso(std::string dir, const Metric* metric, size_t parts)
       : dir_(std::move(dir)), metric_(metric), num_parts_(parts) {}
-
-  /// Searches one partition with an explicit per-partition engine: acquires
-  /// the index (preloaded handle > cache > direct load), remaps results to
-  /// global column ids. `io_seconds` is incremented even when the load
-  /// fails. For kTopK the inner engine ranks by part-LOCAL column ids, but
-  /// the partitioner appends columns to each part in ascending global id,
-  /// so local order == global order and the remap preserves the ranking's
-  /// tie-breaks.
-  Result<std::vector<JoinableColumn>> SearchOnePart(
-      size_t part, const JoinQuery& query, SearchStats* stats,
-      double* io_seconds, Engine engine, const PexesoIndex* preloaded) const;
 
   std::string dir_;
   const Metric* metric_;

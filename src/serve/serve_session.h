@@ -37,7 +37,9 @@ struct StreamChunk {
   size_t part = 0;           ///< which part produced this chunk
   size_t parts_total = 1;    ///< chunk count the query will emit
   bool last = false;         ///< true on the final chunk of the query
-  Status status;             ///< non-OK: this part failed to load/search
+  /// Non-OK: this part failed, was interrupted, or answered incompletely
+  /// (a quarantined lake base; `results` then holds what it did answer).
+  Status status;
   /// This part's joinable columns (global column ids, unmerged/unsorted).
   std::vector<JoinableColumn> results;
 };
@@ -45,13 +47,15 @@ struct StreamChunk {
 /// \brief Final outcome of one submitted query.
 struct QueryOutcome {
   Status status;
-  /// Merged results. For a partitioned engine these are byte-identical to a
-  /// serial SearchPartitions call (concatenated in part order, then the
-  /// canonical mode-aware merge: global-column order for the threshold
-  /// modes, rank order for kTopK). When status is an interruption
+  /// Merged results: for a partitioned engine, the part executor's gather
+  /// (concatenated in part order, then the canonical mode-aware merge), so
+  /// they equal the engine's own Execute. When status is an interruption
   /// (Cancelled / DeadlineExceeded) this holds the completed parts'
   /// columns — valid partial results; on any other failure it is empty.
   std::vector<JoinableColumn> results;
+  /// Parts whose contribution is missing or incomplete while the query
+  /// still answered (ResultSink::OnPartStatus of the gather), part order.
+  std::vector<std::pair<size_t, Status>> part_statuses;
   /// Counters accumulated in part order — deterministic at any thread count.
   SearchStats stats;
   /// Time spent blocked on partition IO (0 for in-memory engines).
@@ -86,8 +90,10 @@ using OutcomeCallback = std::function<void(const QueryOutcome&)>;
 /// Determinism contract (the BatchQueryRunner contract, extended): Drain()
 /// returns outcomes in submission order, and each outcome's results and
 /// stats counters are identical at any thread count and any cache budget,
-/// because per-part chunks are merged in part order regardless of
-/// completion order.
+/// because per-part chunks are gathered in part order regardless of
+/// completion order (kTopK prune counters excepted: the shared bound's
+/// timing varies, the columns never do). Failed parts degrade the answer
+/// exactly as the engine's serial Execute does (core/part_executor.h).
 class ServeSession {
  public:
   /// `engine` is borrowed and must outlive the session. When `shared_pool`
@@ -110,7 +116,7 @@ class ServeSession {
   /// never burns time on a dead query) and the outcome carries the
   /// interruption status with the completed parts as partial results.
   /// kTopK requests share the running k-th-best bound across the query's
-  /// part tasks: each completed part raises the floor later-starting parts
+  /// part tasks: each completed part raises the bound later-starting parts
   /// prune against.
   std::future<QueryOutcome> Submit(JoinQuery query);
 
@@ -151,12 +157,13 @@ class ServeSession {
                    OutcomeCallback on_outcome, bool want_future,
                    std::future<QueryOutcome>* future_out);
 
-  /// Pool task: search one part of one query, emit its chunk, and finalize
-  /// the query when this was the last outstanding part.
+  /// Pool task: one part step of one query (the whole query for an
+  /// in-memory engine), emit its chunk, and finalize the query when this
+  /// was the last outstanding part.
   void RunPart(QueryState* state, size_t part) const;
 
-  /// Merges per-part slots in part order into the outcome (determinism) and
-  /// fulfills the future. Caller holds state->mu.
+  /// Gathers the part slots into the outcome and fulfills the future.
+  /// Caller holds state->mu.
   static void FinalizeLocked(QueryState* state);
 
   const JoinSearchEngine* engine_;

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -41,6 +42,9 @@ struct HedgeState {
   std::condition_variable cv;
   bool done = false;  ///< a winner committed its outcome
   ShardAttemptOutcome outcome;
+  /// The most complete OK answer that came back with part gaps: used only
+  /// when no replica answers whole.
+  std::optional<ShardAttemptOutcome> degraded;
   size_t outstanding = 0;
   Status last_error;
   bool fatal = false;
@@ -131,12 +135,21 @@ Status ShardedEngine::Execute(const JoinQuery& query, ResultSink* sink,
             router_->RunAttempt(shard, replica, query, ctx);
         std::lock_guard<std::mutex> lock(hs.mu);
         --hs.outstanding;
-        if (!hs.done && (out.status.ok() || out.status.interrupted())) {
-          // First finisher with a usable outcome wins; later finishers
-          // (hedge losers) are discarded here.
+        if (hs.done) {
+          // A hedge loser finishing after the winner: discarded.
+        } else if (out.status.interrupted() ||
+                   (out.status.ok() && out.part_statuses.empty())) {
+          // First finisher with a whole (or interrupted) outcome wins.
           hs.done = true;
           hs.outcome = std::move(out);
-        } else if (!hs.done) {
+        } else if (out.status.ok()) {
+          // Answered with part gaps: counts as a failed attempt for
+          // failover, but is kept as the fallback answer.
+          if (!hs.degraded ||
+              out.part_statuses.size() < hs.degraded->part_statuses.size()) {
+            hs.degraded = std::move(out);
+          }
+        } else {
           hs.last_error = out.status;
           if (IsFatalStatus(out.status)) hs.fatal = true;
         }
@@ -186,6 +199,11 @@ Status ShardedEngine::Execute(const JoinQuery& query, ResultSink* sink,
     for (const CancelToken& token : attempt_tokens) token.Cancel();
     for (std::thread& t : attempt_threads) t.join();
 
+    if (!hs.done && hs.degraded && !hs.fatal) {
+      // No replica answered whole: the best degraded answer serves.
+      hs.done = true;
+      hs.outcome = std::move(*hs.degraded);
+    }
     if (hs.done) {
       sr.won = true;
       sr.outcome = std::move(hs.outcome);
@@ -234,32 +252,32 @@ Status ShardedEngine::Execute(const JoinQuery& query, ResultSink* sink,
     }
   }
 
-  // Deterministic gather in shard order: stats, degraded part statuses,
+  // Deterministic gather in shard order: stats, the parts missing from
+  // the answer (a dead shard's whole range, a degraded answer's gaps),
   // first interruption, and the concatenated columns for the one canonical
-  // merge.
+  // merge — the part executor's doctrine at shard granularity.
   std::vector<JoinableColumn> merged;
+  std::vector<std::pair<size_t, Status>> gaps;
   Status first_interruption;
-  bool any_degraded = false;
+  size_t dead_shards = 0;
   for (size_t shard = 0; shard < num_shards; ++shard) {
     ShardResult& sr = results[shard];
     stats->scatters += sr.attempts;
     stats->hedged_requests += sr.hedges;
     stats->failovers += sr.failovers;
     if (!sr.won) {
-      // No replica healthy: the shard's whole part range is missing.
-      // Surface each owned part and keep serving the rest (degraded-mode
-      // contract, same as a quarantined lake part).
       ++stats->shards_degraded;
-      any_degraded = true;
-      const size_t owned = map.OwnedCount(shard);
-      for (size_t local = 0; local < owned; ++local) {
-        sink->OnPartStatus(map.GlobalPart(shard, local), sr.last_error);
+      ++dead_shards;
+      for (size_t local = 0; local < map.OwnedCount(shard); ++local) {
+        gaps.emplace_back(map.GlobalPart(shard, local), sr.last_error);
       }
       continue;
     }
+    // The coordinator's answer counts as one response, partial or not.
+    sr.outcome.stats.partial_responses = 0;
     *stats += sr.outcome.stats;
     for (const auto& [local, st] : sr.outcome.part_statuses) {
-      sink->OnPartStatus(map.GlobalPart(shard, local), st);
+      gaps.emplace_back(map.GlobalPart(shard, local), st);
     }
     if (sr.outcome.status.interrupted() && first_interruption.ok()) {
       first_interruption = sr.outcome.status;
@@ -268,17 +286,23 @@ Status ShardedEngine::Execute(const JoinQuery& query, ResultSink* sink,
                   std::make_move_iterator(sr.outcome.columns.begin()),
                   std::make_move_iterator(sr.outcome.columns.end()));
   }
-  if (any_degraded) ++stats->partial_responses;
+  for (const auto& [part, st] : gaps) sink->OnPartStatus(part, st);
+  if (!gaps.empty()) ++stats->partial_responses;
   stats->floor_updates_sent += floor_sent.load(std::memory_order_relaxed);
   stats->floor_updates_received +=
       floor_received.load(std::memory_order_relaxed);
   stats->shard_bytes_moved += bytes_moved.load(std::memory_order_relaxed);
 
-  const Status final_st = first_interruption;  // OK when nothing tripped
+  if (dead_shards == num_shards) {
+    // No shard answered: a failed query, not a degraded one.
+    const Status st = results[0].last_error;
+    sink->OnDone(st);
+    return st;
+  }
   FinishQueryMerge(query, &merged);
   for (auto& jc : merged) sink->OnColumn(std::move(jc));
-  sink->OnDone(final_st);
-  return final_st;
+  sink->OnDone(first_interruption);
+  return first_interruption;
 }
 
 }  // namespace pexeso::shard

@@ -30,14 +30,18 @@ struct ShardedOptions {
 ///
 /// Robustness: an attempt failing with a transient/environment status
 /// (IoError, Corruption, Internal, ResourceExhausted) fails over to the
-/// shard's next replica; when no replica is left the shard is served
-/// degraded — OnPartStatus for each of its parts, OK final status, partial
-/// results — mirroring the PR 7 degraded-lake contract. A request-class
-/// failure (InvalidArgument, NotSupported, NotFound) fails the whole query
+/// shard's next replica, and so does an attempt that answered OK with part
+/// gaps (a replica with an unreadable part). When no replica is left the
+/// shard serves its most complete gapped answer, or — no replica answered
+/// at all — is served degraded: OnPartStatus for each of its parts, the
+/// other shards' results delivered. When every shard is dead the query
+/// fails with shard 0's error: the part executor's doctrine
+/// (core/part_executor.h) at shard granularity. A request-class failure
+/// (InvalidArgument, NotSupported, NotFound) fails the whole query
 /// instead: a malformed query must not be masked as a degraded answer.
-/// Interruptions (Cancelled / DeadlineExceeded) follow the partitioned
-/// doctrine — first interrupted shard in shard order decides the final
-/// status, completed shards' columns are delivered as partial results.
+/// Interruptions (Cancelled / DeadlineExceeded) keep the completed shards'
+/// columns as partial results, the first interrupted shard in shard order
+/// deciding the final status.
 ///
 /// Determinism: shard results are concatenated in shard order and merged
 /// with one FinishQueryMerge, so the output is byte-identical to the

@@ -28,10 +28,9 @@ class PartSubsetEngine : public JoinSearchEngine, public PartitionedJoinEngine {
 
   const char* name() const override { return "part-subset"; }
 
-  /// Serial owned-part loop mirroring PartitionedPexeso::Execute exactly:
-  /// cross-part kTopK bound, partial results on interruption, bare status
-  /// on a real failure — plus the floor-link adoption/publication a shard
-  /// execution needs (JoinQuery::floor_link).
+  /// The serial part executor (ExecuteParts) over the owned parts: the
+  /// same cross-part kTopK bound, floor-link sharing and failure doctrine
+  /// as every other part engine. Part statuses carry LOCAL part indices.
   Status Execute(const JoinQuery& query, ResultSink* sink,
                  SearchStats* stats) const override;
 
@@ -39,9 +38,9 @@ class PartSubsetEngine : public JoinSearchEngine, public PartitionedJoinEngine {
   size_t NumParts() const override { return owned_.size(); }
   Result<PartHandle> AcquirePart(size_t part,
                                  double* io_seconds) const override;
-  Result<std::vector<JoinableColumn>> SearchPart(
-      size_t part, const JoinQuery& query, SearchStats* stats,
-      double* io_seconds, const PartHandle& preloaded) const override;
+  Result<PartAnswer> SearchPart(size_t part, const JoinQuery& query,
+                                SearchStats* stats, double* io_seconds,
+                                const PartHandle& preloaded) const override;
   bool PartsStayResident() const override;
 
   const std::vector<size_t>& owned_parts() const { return owned_; }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "core/batch_runner.h"
 #include "core/pexeso_index.h"
 #include "core/searcher.h"
+#include "partition/partitioned_pexeso.h"
 #include "test_util.h"
 
 namespace pexeso {
@@ -169,6 +171,58 @@ TEST_F(BatchRunnerTest, IntraQueryShardsComposeWithBatchFanout) {
     EXPECT_EQ(got.stats.tiles_evaluated, expect.stats.tiles_evaluated)
         << "outer=" << outer;
   }
+}
+
+TEST_F(BatchRunnerTest, TruncatedPartDegradesPartitionMajorLikeExecute) {
+  // A part file truncated on disk must not abort a partition-major batch:
+  // the failed load goes through the part executor's gather, so every
+  // query answers exactly as its own Execute does — the other parts'
+  // columns, OK status, the broken part reported.
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "/batch_truncated_part";
+  fs::remove_all(dir);
+  PartitionAssignment assign(catalog_.num_columns());
+  for (uint32_t c = 0; c < catalog_.num_columns(); ++c) assign[c] = c % 3;
+  PexesoOptions opts;
+  opts.num_pivots = 3;
+  opts.levels = 4;
+  ASSERT_TRUE(
+      PartitionedPexeso::Build(catalog_, assign, dir, &metric_, opts).ok());
+  fs::resize_file(dir + "/part-1.pxso", 64);
+  auto opened = PartitionedPexeso::Open(dir, &metric_);
+  ASSERT_TRUE(opened.ok());
+  const PartitionedPexeso& parts = opened.value();
+
+  // Queries near the catalog's clusters (its seed), so answers are real.
+  std::vector<VectorStore> queries;
+  for (uint32_t i = 0; i < 8; ++i) {
+    queries.push_back(MakeClusteredQuery(3000, kDim, 8 + i));
+  }
+  const auto jqs = BindQueries(queries, options_);
+  std::vector<std::vector<JoinableColumn>> expected;
+  for (const JoinQuery& jq : jqs) {
+    auto r = ExecuteCollect(parts, jq);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    expected.push_back(std::move(r).ValueOrDie());
+  }
+  size_t answered = 0;
+  for (const auto& cols : expected) answered += cols.empty() ? 0 : 1;
+  ASSERT_GT(answered, 0u);  // a vacuous parity proves nothing
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    BatchQueryRunner runner(
+        &parts, {.num_threads = threads,
+                 .partition_mode = BatchPartitionMode::kPartitionMajor});
+    BatchResult batch = runner.Run(jqs);
+    ExpectIdentical(batch.results, expected);
+    for (size_t i = 0; i < jqs.size(); ++i) {
+      EXPECT_TRUE(batch.statuses[i].ok()) << batch.statuses[i].ToString();
+      ASSERT_EQ(batch.part_statuses[i].size(), 1u);
+      EXPECT_EQ(batch.part_statuses[i][0].first, 1u);
+    }
+    EXPECT_EQ(batch.stats.partial_responses, jqs.size());
+  }
+  fs::remove_all(dir);
 }
 
 TEST_F(BatchRunnerTest, EngineExceptionPropagatesToCaller) {

@@ -39,6 +39,8 @@
 #include "lake/fsck.h"
 #include "lake/lake_manager.h"
 #include "lake/manifest.h"
+#include "net/client.h"
+#include "net/server.h"
 #include "partition/partitioned_pexeso.h"
 #include "serve/index_cache.h"
 #include "test_util.h"
@@ -640,6 +642,57 @@ INSTANTIATE_TEST_SUITE_P(AllMangles, FaultCorpusTest,
                          ::testing::Values(Mangle::kTruncate,
                                            Mangle::kBitFlip,
                                            Mangle::kZeroLength));
+
+TEST_F(FaultTest, LakeGapsTravelTheWireUnchanged) {
+  // The same live lake answers a broken part the same way in process and
+  // through the server (pexeso_server --lake): part 0's base quarantined
+  // on open (answered from its delta, flagged), part 1's base unloadable
+  // at query time (reported, the rest still served).
+  std::string part0;
+  std::string part1;
+  {
+    auto lake = CreateLake();
+    part0 = lake->PartPath(0, 1);
+    part1 = lake->PartPath(1, 1);
+  }
+  MangleFile(part0, Mangle::kBitFlip);
+  auto opened = LakeManager::Open(dir_, &metric_, opts_);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto lake = std::move(opened).ValueOrDie();
+  ASSERT_EQ(lake->Health().quarantined_parts, 1u);
+  lake->AppendColumns(MakeClusteredCatalog(kSeed + 1, kDim, kParts,
+                                           kColSize));
+  fs::resize_file(part1, 64);
+
+  JoinQuery jq = ExactQuery();
+  jq.vectors = &query_;
+  CollectSink local;
+  ASSERT_TRUE(lake->Execute(jq, &local, nullptr).ok());
+  ASSERT_FALSE(local.columns().empty());
+  auto sorted_parts = [](std::vector<std::pair<size_t, Status>> parts) {
+    std::vector<std::pair<size_t, Status::Code>> out;
+    for (const auto& [part, st] : parts) out.emplace_back(part, st.code());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto want_parts = sorted_parts(local.part_statuses());
+  ASSERT_EQ(want_parts.size(), 2u);
+  EXPECT_EQ(want_parts[0].first, 0u);
+  EXPECT_EQ(want_parts[1].first, 1u);
+
+  net::ServerOptions sopts;
+  sopts.expected_dim = kDim;
+  net::PexesoServer server(lake.get(), sopts);
+  ASSERT_TRUE(server.Start().ok());
+  net::PexesoClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), "lake").ok());
+  const net::ClientQueryResult remote = client.Query(jq);
+  client.Close();
+  server.Shutdown();
+  ASSERT_TRUE(remote.status.ok()) << remote.status.ToString();
+  EXPECT_EQ(sorted_parts(remote.part_statuses), want_parts);
+  ExpectByteIdentical(remote.columns, local.columns(), "over the wire");
+}
 
 TEST_F(FaultTest, MangledManifestFailsOpenGracefully) {
   { auto lake = CreateLake(); }

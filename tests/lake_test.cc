@@ -359,14 +359,15 @@ TEST_F(LakeEquivalenceTest, AcquiredPartSurvivesMergeAndCacheKeepsOldGen) {
   // invalidated (it ages out by LRU, not by merge).
   auto after = lake_->SearchPart(0, jq, nullptr, nullptr, handle.value());
   ASSERT_TRUE(after.ok());
-  ExpectByteIdentical(after.value(), before.value(), "old-gen handle");
+  ExpectByteIdentical(after.value().columns, before.value().columns,
+                      "old-gen handle");
 
   // A fresh search loads generation 2 as a NEW entry alongside the old one.
   SearchStats s2;
   auto fresh = lake_->SearchPart(0, jq, &s2, nullptr, nullptr);
   ASSERT_TRUE(fresh.ok());
   EXPECT_GT(cache.stats().entries, entries_gen1);
-  for (const auto& jc : fresh.value()) EXPECT_NE(jc.column, 0u);
+  for (const auto& jc : fresh.value().columns) EXPECT_NE(jc.column, 0u);
 
   // Both generation files exist until Vacuum reclaims the superseded one.
   EXPECT_TRUE(fs::exists(lake_->PartPath(0, 1)));

@@ -156,11 +156,14 @@ TEST(PartitionedPexesoTest, SearchEqualsInMemorySearch) {
 
   JoinQuery sopts;
   sopts.thresholds = th;
-  double io = 0.0;
   SearchStats stats;
-  auto merged = built.value().SearchPartitions(BindQuery(query, sopts), &stats, &io);
+  auto merged = ExecuteCollect(built.value(), BindQuery(query, sopts), &stats);
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(ResultColumns(merged.value()), expected);
+  double io = 0.0;
+  for (size_t part = 0; part < built.value().NumParts(); ++part) {
+    ASSERT_TRUE(built.value().AcquirePart(part, &io).ok());
+  }
   EXPECT_GT(io, 0.0);
   fs::remove_all(dir);
 }

@@ -1,7 +1,7 @@
 // Serving-layer tests: IndexCache budget/LRU/pinning/single-flight
 // semantics, ServeSession streaming-vs-batch equivalence, and the
 // determinism acceptance contract — ServeSession and the partition-major
-// batch loop must be byte-identical to serial SearchPartitions at any
+// batch loop must be byte-identical to the engine's serial Execute at any
 // thread count and any cache budget.
 
 #include <gtest/gtest.h>
@@ -375,8 +375,9 @@ TEST_F(ServeTest, CorruptPartitionFileIsRejectedByChecksum) {
 
 TEST_F(ServeTest, FailedPartitionLoadStillReportsIoSeconds) {
   namespace fs = std::filesystem;
-  // A partition dir whose part-1 is truncated mid-payload: SearchPartitions
-  // fails, but the io accounting of the attempted loads must survive.
+  // A partition dir whose part-1 is truncated mid-payload: the query
+  // degrades to part-0's answer with part-1 reported, and the io
+  // accounting of the failed load survives.
   const std::string dir = ::testing::TempDir() + "/serve_broken";
   fs::remove_all(dir);
   fs::create_directories(dir);
@@ -386,12 +387,27 @@ TEST_F(ServeTest, FailedPartitionLoadStillReportsIoSeconds) {
 
   auto opened = PartitionedPexeso::Open(dir, metric_);
   ASSERT_TRUE(opened.ok());
-  VectorStore query = MakeClusteredQuery(9200, kDim, 12);
-  double io = -1.0;
+  const PartitionedPexeso& broken = opened.value();
+  VectorStore query = MakeClusteredQuery(9100, kDim, 12);
+  const JoinQuery jq = BindQuery(query, MakeJoinQuery(query.size()));
+  auto part0 = broken.SearchPart(0, jq, nullptr, nullptr, nullptr);
+  ASSERT_TRUE(part0.ok());
+  std::vector<JoinableColumn> expected = part0.value().columns;
+  FinishQueryMerge(jq, &expected);
+  ASSERT_FALSE(expected.empty());
+
   SearchStats stats;
-  auto result = opened.value().SearchPartitions(BindQuery(query, MakeJoinQuery(query.size())), &stats, &io);
-  EXPECT_FALSE(result.ok());
-  EXPECT_GT(io, 0.0);  // part-0's load plus the failed part-1 attempt
+  CollectSink sink;
+  ASSERT_TRUE(broken.Execute(jq, &sink, &stats).ok());
+  ExpectIdenticalResults(sink.columns(), expected);
+  ASSERT_EQ(sink.part_statuses().size(), 1u);
+  EXPECT_EQ(sink.part_statuses()[0].first, 1u);
+  EXPECT_FALSE(sink.part_statuses()[0].second.ok());
+  EXPECT_EQ(stats.partial_responses, 1u);
+
+  double io = 0.0;
+  EXPECT_FALSE(broken.SearchPart(1, jq, nullptr, &io, nullptr).ok());
+  EXPECT_GT(io, 0.0);  // the failed part-1 load attempt is accounted
   fs::remove_all(dir);
 }
 
@@ -404,10 +420,8 @@ TEST_F(ServeTest, StreamingChunksEqualBatchCollectedResults) {
   VectorStore query = MakeClusteredQuery(9300, kDim, 14);
   const JoinQuery sopts = MakeJoinQuery(query.size());
 
-  double io = 0.0;
   SearchStats serial_stats;
-  auto serial =
-      parts.SearchPartitions(BindQuery(query, sopts), &serial_stats, &io);
+  auto serial = ExecuteCollect(parts, BindQuery(query, sopts), &serial_stats);
   ASSERT_TRUE(serial.ok());
 
   for (size_t threads : {size_t{1}, size_t{8}}) {
@@ -445,8 +459,8 @@ TEST_F(ServeTest, StreamingChunksEqualBatchCollectedResults) {
   }
 }
 
-// The acceptance contract: ServeSession output byte-identical to serial
-// SearchPartitions at any thread count and any cache budget — including a
+// The acceptance contract: ServeSession output byte-identical to the serial
+// Execute at any thread count and any cache budget — including a
 // budget too small to hold a single partition, and no cache at all.
 TEST_F(ServeTest, DeterministicAtAnyThreadCountAndBudget) {
   PartitionedPexeso oracle = OpenParts();
@@ -459,8 +473,8 @@ TEST_F(ServeTest, DeterministicAtAnyThreadCountAndBudget) {
   std::vector<SearchStats> expected_stats(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     sopts.push_back(MakeJoinQuery(queries[i].size()));
-    auto serial = oracle.SearchPartitions(BindQuery(queries[i], sopts[i]),
-                                          &expected_stats[i], nullptr);
+    auto serial = ExecuteCollect(oracle, BindQuery(queries[i], sopts[i]),
+                                 &expected_stats[i]);
     ASSERT_TRUE(serial.ok());
     expected.push_back(std::move(serial).ValueOrDie());
   }
@@ -506,12 +520,12 @@ TEST_F(ServeTest, IntraQueryShardsStayByteIdenticalInSessions) {
   // most one thread per partition. With intra_query_threads the session
   // shards the verification WITHIN each partition's search — and the
   // outcome (results and stats counters) must stay byte-identical to the
-  // serial SearchPartitions oracle.
+  // serial Execute oracle.
   PartitionedPexeso oracle = OpenParts();
   VectorStore query = MakeClusteredQuery(9700, kDim, 48);
   const JoinQuery sopts = MakeJoinQuery(query.size());
   SearchStats serial_stats;
-  auto serial = oracle.SearchPartitions(BindQuery(query, sopts), &serial_stats, nullptr);
+  auto serial = ExecuteCollect(oracle, BindQuery(query, sopts), &serial_stats);
   ASSERT_TRUE(serial.ok());
 
   for (size_t intra : {size_t{2}, size_t{4}}) {
@@ -597,7 +611,7 @@ TEST_F(ServeTest, SessionsShareOnePoolViaTaskGroups) {
   parts.AttachCache(&cache);
   VectorStore query = MakeClusteredQuery(9600, kDim, 12);
   const JoinQuery sopts = MakeJoinQuery(query.size());
-  auto serial = parts.SearchPartitions(BindQuery(query, sopts), nullptr, nullptr);
+  auto serial = ExecuteCollect(parts, BindQuery(query, sopts));
   ASSERT_TRUE(serial.ok());
 
   ThreadPool pool(4);
@@ -620,8 +634,13 @@ TEST_F(ServeTest, SessionReportsPartFailuresAsStatus) {
 
   auto opened = PartitionedPexeso::Open(dir, metric_);
   ASSERT_TRUE(opened.ok());
-  VectorStore query = MakeClusteredQuery(9700, kDim, 12);
+  VectorStore query = MakeClusteredQuery(9100, kDim, 12);
   const JoinQuery sopts = MakeJoinQuery(query.size());
+  CollectSink serial;
+  ASSERT_TRUE(
+      opened.value().Execute(BindQuery(query, sopts), &serial, nullptr).ok());
+  ASSERT_FALSE(serial.columns().empty());  // a vacuous parity proves nothing
+
   ServeSession session(&opened.value(), {.num_threads = 2});
   std::mutex mu;
   size_t failed_chunks = 0;
@@ -631,8 +650,15 @@ TEST_F(ServeTest, SessionReportsPartFailuresAsStatus) {
   });
   auto outcomes = session.Drain();
   ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_FALSE(outcomes[0].status.ok());
-  EXPECT_TRUE(outcomes[0].results.empty());
+  // Degraded, not failed: part-0's answer with part-1's failure reported,
+  // exactly as the serial Execute answers.
+  ASSERT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
+  ExpectIdenticalResults(outcomes[0].results, serial.columns());
+  ASSERT_EQ(outcomes[0].part_statuses.size(), 1u);
+  EXPECT_EQ(outcomes[0].part_statuses[0].first, 1u);
+  EXPECT_EQ(outcomes[0].part_statuses[0].second.code(),
+            serial.part_statuses()[0].second.code());
+  EXPECT_EQ(outcomes[0].stats.partial_responses, 1u);
   EXPECT_EQ(failed_chunks, 1u);
   EXPECT_GT(outcomes[0].io_seconds, 0.0);  // io accounted despite the error
   fs::remove_all(dir);
@@ -676,8 +702,8 @@ TEST_F(ServeTest, PartitionMajorBatchMatchesQueryMajorAndSerial) {
   std::vector<std::vector<JoinableColumn>> serial;
   SearchStats serial_stats;
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto r = parts.SearchPartitions(BindQuery(queries[i], sopts[i]),
-                                    &serial_stats);
+    auto r = ExecuteCollect(parts, BindQuery(queries[i], sopts[i]),
+                            &serial_stats);
     ASSERT_TRUE(r.ok());
     serial.push_back(std::move(r).ValueOrDie());
   }

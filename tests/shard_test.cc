@@ -290,6 +290,30 @@ TEST_F(ShardTest, DeadShardWithoutReplicaServesDegraded) {
   EXPECT_EQ(stats.failovers, 0u);  // no replica to fail over to
 }
 
+TEST_F(ShardTest, EveryShardDeadFailsTheQuery) {
+  // No shard answered: a failed query (with shard 0's error), not an OK
+  // answer with zero columns — the part executor's all-parts-failed rule.
+  PartitionedPexeso parts = OpenParts();
+  const VectorStore query = MakeClusteredQuery(8800, kDim, 20, 10);
+  FailpointRegistry::Instance().Arm("shard:attempt:0:0",
+                                    {FailAction::kIoError, 0, -1, 0});
+  FailpointRegistry::Instance().Arm("shard:attempt:1:0",
+                                    {FailAction::kIoError, 0, -1, 0});
+  JoinQuery jq = MakeJoinQuery(query.size());
+  jq.vectors = &query;
+
+  VirtualShardRouter router(&parts, 2);
+  ShardedEngine sharded(&router);
+  SearchStats stats;
+  CollectSink sink;
+  const Status st = sharded.Execute(jq, &sink, &stats);
+  EXPECT_EQ(st.code(), Status::Code::kIoError) << st.ToString();
+  EXPECT_EQ(sink.status().code(), Status::Code::kIoError);
+  EXPECT_TRUE(sink.columns().empty());
+  EXPECT_EQ(sink.part_statuses().size(), kParts);  // every part reported
+  EXPECT_EQ(stats.shards_degraded, 2u);
+}
+
 TEST_F(ShardTest, StragglerIsHedgedAndResultsStayIdentical) {
   PartitionedPexeso parts = OpenParts();
   const VectorStore query = MakeClusteredQuery(8800, kDim, 20, 10);
@@ -384,6 +408,69 @@ TEST_F(ShardTest, RemoteShardsMatchSingleNodeByteForByte) {
   }
   server0.Shutdown();
   server1.Shutdown();
+}
+
+TEST_F(ShardTest, RemoteReplicaWithBrokenPartFailsOver) {
+  // Shard 0's replica 0 serves a copy of the partition dir whose part 2 (a
+  // shard-0 part) is truncated: it answers OK with a gap, which is not a
+  // whole answer while replica 1 is left — the coordinator fails over and
+  // the result is the full single-node answer.
+  namespace fs = std::filesystem;
+  const std::string broken_dir = ::testing::TempDir() + "/shard_broken";
+  fs::remove_all(broken_dir);
+  fs::copy(*dir_, broken_dir);
+  fs::resize_file(broken_dir + "/part-2.pxso", 64);
+  auto opened = PartitionedPexeso::Open(broken_dir, metric_);
+  ASSERT_TRUE(opened.ok());
+  PartitionedPexeso broken = std::move(opened).ValueOrDie();
+  PartitionedPexeso parts = OpenParts();
+  const ShardMap map = ShardMap::RoundRobin(kParts, 2);
+  ASSERT_EQ(map.PartShard(2), 0u);
+
+  PartSubsetEngine shard0_bad(&broken, map.OwnedParts(0));
+  PartSubsetEngine shard0_good(&parts, map.OwnedParts(0));
+  PartSubsetEngine shard1(&parts, map.OwnedParts(1));
+  net::ServerOptions sopts0;
+  sopts0.expected_dim = kDim;
+  sopts0.shards_total = 2;
+  sopts0.shard_of = 0;
+  net::ServerOptions sopts1 = sopts0;
+  sopts1.shard_of = 1;
+  net::PexesoServer server0a(&shard0_bad, sopts0);
+  net::PexesoServer server0b(&shard0_good, sopts0);
+  net::PexesoServer server1(&shard1, sopts1);
+  ASSERT_TRUE(server0a.Start().ok());
+  ASSERT_TRUE(server0b.Start().ok());
+  ASSERT_TRUE(server1.Start().ok());
+
+  auto probed = RemoteShardRouter::Probe(
+      {{{"127.0.0.1", server0a.port()}, {"127.0.0.1", server0b.port()}},
+       {{"127.0.0.1", server1.port()}}});
+  ASSERT_TRUE(probed.ok()) << probed.status().ToString();
+  auto router = std::move(probed).ValueOrDie();
+  ShardedEngine sharded(router.get());
+  const VectorStore query = MakeClusteredQuery(8800, kDim, 20, 10);
+  for (const JoinQuery& base : ParityModes(query.size())) {
+    JoinQuery jq = base;
+    jq.vectors = &query;
+    CollectSink oracle;
+    ASSERT_TRUE(parts.Execute(jq, &oracle, nullptr).ok());
+    ASSERT_FALSE(oracle.columns().empty());
+
+    SearchStats stats;
+    CollectSink sink;
+    const Status st = sharded.Execute(jq, &sink, &stats);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_TRUE(sink.part_statuses().empty());
+    ExpectIdenticalResults(oracle.columns(), sink.columns());
+    EXPECT_EQ(stats.failovers, 1u);
+    EXPECT_EQ(stats.scatters, 3u);
+    EXPECT_EQ(stats.shards_degraded, 0u);
+  }
+  server0a.Shutdown();
+  server0b.Shutdown();
+  server1.Shutdown();
+  fs::remove_all(broken_dir);
 }
 
 TEST_F(ShardTest, ProbeRejectsMiswiredTopology) {

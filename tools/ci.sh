@@ -237,6 +237,19 @@ done
 SMOKE_COORD_PID="" SMOKE_SHARD0_PID="" SMOKE_SHARD1_PID=""
 echo "shard smoke: OK ($(wc -l < "$SMOKE_DIR/sharded.txt") result lines byte-identical through the coordinator)"
 
+# Benchmark smoke: build perfbench/ against this checkout's library and run
+# each workload for two seconds. A library change that breaks the
+# benchmark's build, or an answer its oracle rejects, fails here (the
+# program exits non-zero) instead of at the next measurement.
+for workload in lwdc-sharded-serve open-cosine-topk swdc-live-ooc; do
+  if ! python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+      > /dev/null; then
+    echo "benchmark smoke: $workload failed" >&2
+    exit 1
+  fi
+done
+echo "benchmark smoke: OK (every workload built and ran)"
+
 if [[ "${PEXESO_CI_SANITIZE:-1}" == "1" ]]; then
   SAN_DIR="${SAN_BUILD_DIR:-build-asan}"
   SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
@@ -262,12 +275,15 @@ if [[ "${PEXESO_CI_SANITIZE:-1}" == "1" ]]; then
   # would hide, and the quant tier's int8 kernels run under UBSan here.
   # shard_test joins for the coordinator: hedge losers are cancelled and
   # joined while the winner's outcome is being moved out — exactly where a
-  # use-after-scope on the attempt frame would live.
+  # use-after-scope on the attempt frame would live. part_executor_test
+  # joins for the part executor's slots: every schedule moves columns out
+  # of them at gather time, broken parts and cancellations included.
   cmake --build "$SAN_DIR" -j "$JOBS" \
     --target kernel_test vec_test serve_test common_test pipeline_test \
-    topk_test lake_test fault_test net_test snapshot_test shard_test
+    topk_test lake_test fault_test net_test snapshot_test shard_test \
+    part_executor_test
   ctest --test-dir "$SAN_DIR" --output-on-failure --timeout 600 \
-    -R '^(kernel_test|vec_test|serve_test|common_test|pipeline_test|topk_test|lake_test|fault_test|net_test|snapshot_test|shard_test)$'
+    -R '^(kernel_test|vec_test|serve_test|common_test|pipeline_test|topk_test|lake_test|fault_test|net_test|snapshot_test|shard_test|part_executor_test)$'
 fi
 
 if [[ "${PEXESO_CI_TSAN:-1}" == "1" ]]; then
@@ -292,10 +308,12 @@ if [[ "${PEXESO_CI_TSAN:-1}" == "1" ]]; then
   # updated across shard locks. shard_test joins for the scatter-gather
   # choreography: the CAS-max floor cell raised from every shard at once,
   # racing replica attempts committing to one HedgeState, and the gather
-  # loop's cancellation fan-out — the PR's new cross-thread surface.
+  # loop's cancellation fan-out. part_executor_test joins for the part
+  # executor's shared kTopK bound and interruption flag, stepped from every
+  # schedule's threads at once.
   cmake --build "$TSAN_DIR" -j "$JOBS" \
     --target pipeline_test batch_runner_test serve_test common_test \
-    topk_test lake_test net_test snapshot_test shard_test
+    topk_test lake_test net_test snapshot_test shard_test part_executor_test
   ctest --test-dir "$TSAN_DIR" --output-on-failure --timeout 600 \
-    -R '^(pipeline_test|batch_runner_test|serve_test|common_test|topk_test|lake_test|net_test|snapshot_test|shard_test)$'
+    -R '^(pipeline_test|batch_runner_test|serve_test|common_test|topk_test|lake_test|net_test|snapshot_test|shard_test|part_executor_test)$'
 fi

@@ -568,11 +568,12 @@ int StreamSearch(const OnlineContext& ctx, const JoinQuery& jq,
   session.SubmitStreaming(jq, [&](const serve::StreamChunk& c) {
     std::lock_guard<std::mutex> lock(print_mu);
     if (!c.status.ok()) {
-      // An interrupted part is expected under --deadline-ms, not a failure.
+      // An interrupted part is expected under --deadline-ms, not a failure;
+      // a degraded part still prints whatever it answered.
       std::printf("[part %zu/%zu] %s: %s\n", c.part + 1, c.parts_total,
-                  c.status.interrupted() ? "stopped early" : "FAILED",
+                  c.status.interrupted() ? "stopped early" : "DEGRADED",
                   c.status.ToString().c_str());
-      return;
+      if (c.results.empty()) return;
     }
     std::printf("[part %zu/%zu] %zu joinable column(s)%s\n", c.part + 1,
                 c.parts_total, c.results.size(),
@@ -863,6 +864,10 @@ int CmdBatch(const Flags& flags) {
                 batch.results[i].size(),
                 st.interrupted() ? " (partial: stopped early)" : "");
     for (const auto& r : batch.results[i]) PrintResult(ctx, r, "    ");
+    for (const auto& [part, part_st] : batch.part_statuses[i]) {
+      std::printf("    [part %zu] DEGRADED: %s\n", part + 1,
+                  part_st.ToString().c_str());
+    }
   }
   if (flags.Has("stats")) {
     PrintStats(batch.stats);
