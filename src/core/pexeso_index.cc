@@ -507,7 +507,8 @@ Result<PexesoIndex> PexesoIndex::LoadStream(BinaryReader r, uint32_t version,
   PEXESO_RETURN_NOT_OK(index.pivots_.Deserialize(&r, metric));
   PEXESO_RETURN_NOT_OK(r.ReadVector(&index.mapped_));
   PEXESO_RETURN_NOT_OK(index.grid_.Deserialize(&r));
-  PEXESO_RETURN_NOT_OK(index.inv_.Deserialize(&r));
+  PEXESO_RETURN_NOT_OK(
+      index.inv_.Deserialize(&r, index.catalog_.num_columns()));
   PEXESO_RETURN_NOT_OK(r.ReadVector(&index.tombstones_));
   // Reject snapshots whose payload parsed but was silently corrupted (a
   // flipped byte in vector data leaves every length plausible). v1 files
@@ -651,19 +652,28 @@ Result<PexesoIndex> PexesoIndex::LoadFlat(const uint8_t* data, uint64_t size,
       data + sec_off[kSecPostings]);
   const uint64_t npost =
       sec_len[kSecPostings] / sizeof(InvertedIndex::Posting);
-  for (uint64_t c = 0; c < ncells; ++c) {
-    if (cell_offsets[c] > cell_offsets[c + 1]) {
-      return Status::Corruption("postings offsets not monotone");
-    }
-  }
   if (cell_offsets[0] != 0 || cell_offsets[ncells] != npost) {
     return Status::Corruption("postings offsets do not cover the postings");
   }
-  for (uint64_t p = 0; p < npost; ++p) {
-    if (postings[p].column >= ncols ||
-        postings[p].vec_begin + static_cast<uint64_t>(postings[p].vec_count) >
-            nvecids) {
-      return Status::Corruption("posting references out-of-range data");
+  // One pass over the cells validates the offsets and every posting: its
+  // column and vec-id range, and the strictly-ascending column order the
+  // inverted index's one-posting-per-(cell, column) invariant requires.
+  for (uint64_t c = 0; c < ncells; ++c) {
+    const uint64_t lo = cell_offsets[c];
+    const uint64_t hi = cell_offsets[c + 1];
+    if (lo > hi || hi > npost) {
+      return Status::Corruption("postings offsets not monotone");
+    }
+    for (uint64_t p = lo; p < hi; ++p) {
+      if (postings[p].column >= ncols ||
+          postings[p].vec_begin +
+                  static_cast<uint64_t>(postings[p].vec_count) >
+              nvecids) {
+        return Status::Corruption("posting references out-of-range data");
+      }
+      if (p > lo && postings[p - 1].column >= postings[p].column) {
+        return Status::Corruption("postings not strictly ascending by column");
+      }
     }
   }
 

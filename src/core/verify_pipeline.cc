@@ -89,128 +89,119 @@ void VerifyPipeline::GenerateCandidates(const BlockResult& blocks,
   out->total_weight = 0;
   if (num_q == 0) return;
 
-  struct Cursor {
-    std::span<const InvertedIndex::Posting> postings;
-    size_t pos = 0;
-    bool is_match = false;
+  // Per-column scratch. `stamp` is q + 1 of the last record that touched
+  // the column, so nothing is cleared between records; tombstoned columns
+  // carry kTombstoned and are never touched (their postings stay in place
+  // until Compact(), and blocks for them would skew the shard weights
+  // toward columns the verifier skips). `slot` counts the column's ranges
+  // in the first sweep and is its range write head in the second;
+  // kCellMatched marks a pair a match cell decided.
+  constexpr uint32_t kTombstoned = UINT32_MAX;
+  constexpr uint32_t kCellMatched = UINT32_MAX;
+  struct ColSlot {
+    uint32_t stamp = 0;
+    uint32_t slot = 0;
   };
-  // Emission-order staging; the CSR scatter below regroups by column.
-  struct TmpBlock {
+  std::vector<ColSlot> cols(ncols);
+  for (ColumnId c = 0; c < ncols; ++c) {
+    if (index_->IsDeleted(c)) cols[c].stamp = kTombstoned;
+  }
+  // Every (record, column) pair in record order: its range count, or
+  // kCellMatched. pairs_end[q] closes record q's run.
+  struct Pair {
     ColumnId column;
-    uint32_t query;
-    uint32_t range_begin;
-    uint32_t range_count;
-    uint8_t cell_matched;
+    uint32_t ranges;
   };
-  std::vector<Cursor> cursors;
-  std::vector<TmpBlock> tmp;
-  std::vector<VecIdRange> tmp_ranges;
-  using HeapEntry = std::pair<ColumnId, uint32_t>;  // (current column, cursor)
-  std::vector<HeapEntry> heap;
-  std::vector<uint32_t> active;  // cursors positioned on the current column
+  std::vector<Pair> pairs;
+  std::vector<uint32_t> pairs_end(num_q);
+  // Per-column range counts, then (prefix-summed) range write heads.
+  std::vector<uint32_t> range_head(ncols + 1, 0);
 
+  // Sweep 1: stamp every column each record reaches. A cell holds at most
+  // one posting per column, so a pair's ranges are exactly its column's
+  // postings in the record's candidate cells, one per cell, in blocking
+  // order; any match cell (Lemma 5/6: every vector in it matches q)
+  // decides the pair outright.
   for (uint32_t q = 0; q < num_q; ++q) {
-    cursors.clear();
+    const uint32_t stamp = q + 1;
+    const size_t first = pairs.size();
     for (uint32_t cell : blocks.match_cells[q]) {
-      auto span = inv.PostingsOf(cell);
-      if (!span.empty()) cursors.push_back(Cursor{span, 0, true});
+      for (const auto& p : inv.PostingsOf(cell)) {
+        ColSlot& s = cols[p.column];
+        if (s.stamp == kTombstoned) continue;
+        if (s.stamp != stamp) {
+          s.stamp = stamp;
+          pairs.push_back(Pair{p.column, 0});
+        }
+        s.slot = kCellMatched;
+      }
     }
     for (uint32_t cell : blocks.cand_cells[q]) {
-      auto span = inv.PostingsOf(cell);
-      if (!span.empty()) cursors.push_back(Cursor{span, 0, false});
-    }
-    if (cursors.empty()) continue;
-    // Bulk O(k) heap construction per query record (the old loop pushed
-    // entries one by one after an element-wise clear: O(k log k)).
-    heap.clear();
-    for (uint32_t c = 0; c < cursors.size(); ++c) {
-      heap.emplace_back(cursors[c].postings[0].column, c);
-    }
-    std::make_heap(heap.begin(), heap.end(), std::greater<>{});
-    // DaaT: emit the (q, column) pairs in increasing column-id order so each
-    // pair appears exactly once even when a column spans many cells.
-    while (!heap.empty()) {
-      const ColumnId col = heap.front().first;
-      active.clear();
-      while (!heap.empty() && heap.front().first == col) {
-        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-        active.push_back(heap.back().second);
-        heap.pop_back();
-      }
-      if (index_->IsDeleted(col)) {
-        // Tombstoned postings stay in place until Compact(); emitting
-        // blocks for them would skew the shard weights toward columns the
-        // verifier is only going to skip.
-        for (uint32_t c : active) {
-          if (++cursors[c].pos < cursors[c].postings.size()) {
-            heap.emplace_back(cursors[c].postings[cursors[c].pos].column, c);
-            std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-          }
+      for (const auto& p : inv.PostingsOf(cell)) {
+        ColSlot& s = cols[p.column];
+        if (s.stamp == kTombstoned) continue;
+        if (s.stamp != stamp) {
+          s.stamp = stamp;
+          s.slot = 0;
+          pairs.push_back(Pair{p.column, 0});
         }
-        continue;
-      }
-      bool cell_matched = false;
-      for (uint32_t c : active) {
-        if (cursors[c].is_match) {
-          // Lemma 5/6 guaranteed every vector in this cell matches q, and
-          // the column has at least one vector here: no ranges needed.
-          cell_matched = true;
-          break;
-        }
-      }
-      const uint32_t rb = static_cast<uint32_t>(tmp_ranges.size());
-      uint32_t rc = 0;
-      if (!cell_matched) {
-        for (uint32_t c : active) {
-          const auto& p = cursors[c].postings[cursors[c].pos];
-          if (p.vec_count > 0) {
-            tmp_ranges.push_back(VecIdRange{p.vec_begin, p.vec_count});
-            ++rc;
-          }
-        }
-      }
-      tmp.push_back(
-          TmpBlock{col, q, rb, rc, static_cast<uint8_t>(cell_matched)});
-      for (uint32_t c : active) {
-        if (++cursors[c].pos < cursors[c].postings.size()) {
-          heap.emplace_back(cursors[c].postings[cursors[c].pos].column, c);
-          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-        }
+        if (s.slot != kCellMatched && p.vec_count > 0) ++s.slot;
       }
     }
+    for (size_t i = first; i < pairs.size(); ++i) {
+      const ColumnId col = pairs[i].column;
+      const uint32_t ranges = cols[col].slot;
+      pairs[i].ranges = ranges;
+      ++out->block_begin[col + 1];
+      if (ranges != kCellMatched) range_head[col + 1] += ranges;
+    }
+    pairs_end[q] = static_cast<uint32_t>(pairs.size());
   }
-  stats->candidate_blocks += tmp.size();
+  stats->candidate_blocks += pairs.size();
 
-  // CSR scatter by column. Emission order is ascending q (outer loop) with
-  // each column at most once per q, so every column's slice lands in
-  // ascending query order — the order the serial state machine requires.
-  for (const TmpBlock& b : tmp) ++out->block_begin[b.column + 1];
+  // Column-major CSR: records are placed in ascending q, each column at
+  // most once per record, so every column's slice lands in ascending query
+  // order — the order the serial state machine requires.
   for (size_t c = 1; c <= ncols; ++c) {
     out->block_begin[c] += out->block_begin[c - 1];
+    range_head[c] += range_head[c - 1];
   }
-  std::vector<uint32_t> range_begin(ncols + 1, 0);
-  for (const TmpBlock& b : tmp) range_begin[b.column + 1] += b.range_count;
-  for (size_t c = 1; c <= ncols; ++c) range_begin[c] += range_begin[c - 1];
-
-  out->blocks.resize(tmp.size());
-  out->ranges.resize(tmp_ranges.size());
-  std::vector<uint32_t> next_block(out->block_begin.begin(),
+  out->blocks.resize(pairs.size());
+  out->ranges.resize(range_head[ncols]);
+  std::vector<uint32_t> block_head(out->block_begin.begin(),
                                    out->block_begin.end() - 1);
-  std::vector<uint32_t> next_range(range_begin.begin(), range_begin.end() - 1);
-  for (const TmpBlock& b : tmp) {
-    const uint32_t dst = next_block[b.column]++;
-    const uint32_t rdst = next_range[b.column];
-    next_range[b.column] += b.range_count;
-    uint64_t w = b.cell_matched ? 1 : 0;
-    for (uint32_t r = 0; r < b.range_count; ++r) {
-      out->ranges[rdst + r] = tmp_ranges[b.range_begin + r];
-      w += tmp_ranges[b.range_begin + r].count;
+
+  // Sweep 2: place each record's pairs, reserving their range slices, then
+  // fill the slices from the record's candidate cells in blocking order.
+  size_t i = 0;
+  for (uint32_t q = 0; q < num_q; ++q) {
+    for (; i < pairs_end[q]; ++i) {
+      const auto [col, ranges] = pairs[i];
+      const bool matched = ranges == kCellMatched;
+      const uint32_t rb = range_head[col];
+      out->blocks[block_head[col]++] = CandidateBlock{
+          q, rb, matched ? 0 : ranges, static_cast<uint8_t>(matched)};
+      if (matched) {
+        cols[col].slot = kCellMatched;
+        out->weight[col] += 1;
+      } else {
+        cols[col].slot = rb;
+        range_head[col] += ranges;
+      }
     }
-    out->blocks[dst] = CandidateBlock{b.query, rdst, b.range_count,
-                                      b.cell_matched};
-    out->weight[b.column] += w;
-    out->total_weight += w;
+    for (uint32_t cell : blocks.cand_cells[q]) {
+      for (const auto& p : inv.PostingsOf(cell)) {
+        ColSlot& s = cols[p.column];
+        if (s.stamp == kTombstoned || s.slot == kCellMatched ||
+            p.vec_count == 0) {
+          continue;
+        }
+        out->ranges[s.slot++] = VecIdRange{p.vec_begin, p.vec_count};
+        out->weight[p.column] += p.vec_count;
+      }
+    }
   }
+  for (uint64_t w : out->weight) out->total_weight += w;
 }
 
 Status VerifyPipeline::VerifyCandidates(const CandidateSet& cands,

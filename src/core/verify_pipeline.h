@@ -32,9 +32,10 @@ struct VecIdRange {
 
 /// \brief Stage-1 output: every (query record, column) pair of the search,
 /// CSR-grouped by column with each column's pairs in ascending query order —
-/// exactly the order the serial DaaT loop resolves them in. That ordering is
+/// the order Algorithm 2's serial scan resolves them in. That ordering is
 /// what lets stage 2 replay the per-column Lemma-7 / early-joinable state
-/// machine bit-for-bit under any shard layout.
+/// machine bit-for-bit under any shard layout. A pair's ranges follow the
+/// blocking output's candidate-cell order, one per cell.
 struct CandidateSet {
   std::vector<CandidateBlock> blocks;
   std::vector<VecIdRange> ranges;  ///< each block's ranges are contiguous
@@ -49,11 +50,17 @@ struct CandidateSet {
 };
 
 /// \brief The staged online verification pipeline: Algorithm 2 restructured
-/// from a monolithic per-query DaaT loop into three explicit stages.
+/// from a monolithic per-query loop into three explicit stages.
 ///
-///   stage 1  candidate generation — the DaaT merge over the blocking
-///            output emits CandidateBlocks instead of deciding pairs
-///            inline (GenerateCandidates);
+///   stage 1  candidate generation — an O(postings) scatter over the
+///            inverted index in two sweeps of the query records: the first
+///            stamps each posting's column in a per-column array (skipping
+///            tombstoned columns, marking a column any match cell reaches
+///            as cell-matched) and counts every pair's ranges; the second
+///            places each pair in the column-major CSR and writes its
+///            candidate cells' postings into its range slice
+///            (GenerateCandidates). It relies on the inverted index's one
+///            posting per (cell, column);
 ///   stage 2  tiled verification — columns are sharded into contiguous,
 ///            weight-balanced ranges across JoinQuery::intra_query_threads
 ///            workers; each shard replays the serial per-column state

@@ -60,12 +60,17 @@ void InvertedIndex::Append(uint32_t cell, ColumnId column,
   PEXESO_CHECK(cell < cells_.size());
   PEXESO_CHECK(!vecs.empty());
   auto& postings = cells_[cell];
-  PEXESO_CHECK_MSG(postings.empty() || postings.back().column <= column,
-                   "appends must use non-decreasing column ids");
   const uint32_t begin = static_cast<uint32_t>(vec_ids_.size());
+  const bool extends = !postings.empty() && postings.back().column == column &&
+                       postings.back().vec_begin + postings.back().vec_count ==
+                           begin;
+  // One posting per (cell, column): a repeated column must continue its
+  // posting's vec-id run, which then grows in place.
+  PEXESO_CHECK_MSG(
+      extends || postings.empty() || postings.back().column < column,
+      "appends must use increasing column ids");
   vec_ids_.insert(vec_ids_.end(), vecs.begin(), vecs.end());
-  if (!postings.empty() && postings.back().column == column &&
-      postings.back().vec_begin + postings.back().vec_count == begin) {
+  if (extends) {
     postings.back().vec_count += static_cast<uint32_t>(vecs.size());
   } else {
     postings.push_back(
@@ -94,7 +99,7 @@ void InvertedIndex::Serialize(BinaryWriter* w) const {
   w->WriteBytes(vec_ids_data(), vec_ids_size() * sizeof(VecId));
 }
 
-Status InvertedIndex::Deserialize(BinaryReader* r) {
+Status InvertedIndex::Deserialize(BinaryReader* r, size_t num_columns) {
   uint64_t n = 0;
   PEXESO_RETURN_NOT_OK(r->Read(&n));
   view_offsets_ = nullptr;
@@ -106,9 +111,14 @@ Status InvertedIndex::Deserialize(BinaryReader* r) {
   for (auto& c : cells_) PEXESO_RETURN_NOT_OK(r->ReadVector(&c));
   PEXESO_RETURN_NOT_OK(r->ReadVector(&vec_ids_));
   for (const auto& c : cells_) {
-    for (const auto& p : c) {
-      if (static_cast<size_t>(p.vec_begin) + p.vec_count > vec_ids_.size()) {
-        return Status::Corruption("posting references out-of-range vec ids");
+    for (size_t i = 0; i < c.size(); ++i) {
+      const Posting& p = c[i];
+      if (p.column >= num_columns ||
+          static_cast<size_t>(p.vec_begin) + p.vec_count > vec_ids_.size()) {
+        return Status::Corruption("posting references out-of-range data");
+      }
+      if (i > 0 && c[i - 1].column >= p.column) {
+        return Status::Corruption("postings not strictly ascending by column");
       }
     }
   }

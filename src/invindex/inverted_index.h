@@ -16,15 +16,20 @@ namespace pexeso {
 ///
 /// Keys are leaf-cell indices; each key maps to a postings list of columns
 /// having at least one vector in that cell, together with the ids of those
-/// vectors. Postings are sorted by ColumnId so verification can proceed
-/// document-at-a-time (column-at-a-time) across the candidate cells of a
-/// query vector, which is what enables the Lemma 7 early termination and the
-/// joinable-skip to bypass whole columns.
+/// vectors.
+///
+/// Invariant: a cell holds at most one posting per column, and its postings
+/// are strictly ascending by ColumnId. Build groups each cell's vectors by
+/// column, appends grow a column's one posting, and both snapshot loaders
+/// reject a file that breaks it. Candidate generation relies on it: a query
+/// record's ranges for one column are exactly that column's postings in the
+/// record's candidate cells, one per cell, so a single scatter over the
+/// postings builds every (record, column) pair without a merge.
 ///
 /// Postings lists are growable per cell: appending a column (Section III-E)
 /// appends to the lists of the cells its vectors fall in, in O(1) per cell,
-/// preserving the sorted-by-column invariant because ColumnIds are assigned
-/// in increasing order.
+/// preserving the invariant because ColumnIds are assigned in increasing
+/// order.
 ///
 /// Storage modes: owned (per-cell vectors, growable) or view (BindView
 /// points the index at a CSR image — cell offsets, a flat postings array,
@@ -50,7 +55,7 @@ class InvertedIndex {
   /// `num_cells + 1` entries (offsets into `postings`, monotone, ending at
   /// the postings count), `vec_ids` has `num_vec_ids` entries. The caller
   /// keeps all three alive (typically via the snapshot's MappedFile) and
-  /// has validated monotonicity and posting ranges.
+  /// has validated monotonicity and posting ranges, columns and order.
   void BindView(const uint64_t* cell_offsets, size_t num_cells,
                 const InvertedIndex::Posting* postings, const VecId* vec_ids,
                 size_t num_vec_ids) {
@@ -76,14 +81,15 @@ class InvertedIndex {
   }
 
   /// Appends the vectors of `column` that fall into `cell`. The column id
-  /// must be >= every column already present in the cell.
+  /// must be > every column already present in the cell, or equal to the
+  /// last one when `vecs` continue its vec-id run (the posting then grows).
   void Append(uint32_t cell, ColumnId column, std::span<const VecId> vecs);
 
   size_t num_cells() const {
     return is_view() ? view_num_cells_ : cells_.size();
   }
 
-  /// Postings list of leaf cell `cell` (sorted by column id).
+  /// Postings list of leaf cell `cell` (strictly ascending by column id).
   std::span<const Posting> PostingsOf(uint32_t cell) const {
     if (is_view()) {
       const uint64_t begin = view_offsets_[cell];
@@ -114,7 +120,10 @@ class InvertedIndex {
   size_t MemoryBytes() const;
 
   void Serialize(BinaryWriter* w) const;
-  Status Deserialize(BinaryReader* r);
+  /// Rejects (Corruption) postings naming a column >= `num_columns` or
+  /// vec ids past the pool, and cells whose postings are not strictly
+  /// ascending by column.
+  Status Deserialize(BinaryReader* r, size_t num_columns);
 
  private:
   std::vector<std::vector<Posting>> cells_;

@@ -22,6 +22,7 @@ using testing::BindQueries;
 using testing::MustSearch;
 using testing::MakeClusteredCatalog;
 using testing::MakeClusteredQuery;
+using testing::MakeJoiningQuery;
 
 /// Field-by-field equality of two result sets, mapping included — the
 /// "byte-identical" contract of the runner.
@@ -60,11 +61,18 @@ class BatchRunnerTest : public ::testing::Test {
     index_ = std::make_unique<PexesoIndex>(
         PexesoIndex::Build(std::move(copy), &metric_, opts));
     for (size_t i = 0; i < kNumQueries; ++i) {
-      queries_.push_back(MakeClusteredQuery(3100 + i, kDim, 10 + i % 7));
+      queries_.push_back(MakeJoiningQuery(catalog_, 3100 + i, 10 + i % 7));
     }
     FractionalThresholds ft{0.07, 0.4};
     options_.thresholds = ft.Resolve(metric_, kDim, 12);
     options_.collect_mappings = true;  // exercise the full result payload
+    // Every fixture query reaches the catalog, so the parity checks below
+    // compare real answers, not empty ones.
+    PexesoSearcher searcher(index_.get());
+    for (size_t i = 0; i < kNumQueries; ++i) {
+      ASSERT_FALSE(MustSearch(searcher, queries_[i], options_).empty())
+          << "query " << i;
+    }
   }
 
   L2Metric metric_;

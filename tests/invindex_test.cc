@@ -110,7 +110,7 @@ TEST(InvertedIndexTest, SerializeRoundTrip) {
   ASSERT_TRUE(r.ok());
   BinaryReader br = std::move(r).ValueOrDie();
   InvertedIndex loaded;
-  ASSERT_TRUE(loaded.Deserialize(&br).ok());
+  ASSERT_TRUE(loaded.Deserialize(&br, b.catalog.num_columns()).ok());
   ASSERT_EQ(loaded.num_cells(), b.inv.num_cells());
   for (uint32_t cell = 0; cell < b.inv.num_cells(); ++cell) {
     const auto a = b.inv.PostingsOf(cell);
@@ -124,25 +124,42 @@ TEST(InvertedIndexTest, SerializeRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(InvertedIndexTest, DeserializeRejectsDanglingPostings) {
-  // Hand-craft an index whose posting points past vec_ids.
+/// Deserializes a hand-made one-cell index over the vec ids {1, 2, 3}
+/// against a catalog of `num_columns` columns.
+Status DeserializeOneCell(const std::vector<InvertedIndex::Posting>& postings,
+                          size_t num_columns) {
   const std::string path = ::testing::TempDir() + "/inv_bad.bin";
   {
     auto w = BinaryWriter::Open(path);
-    ASSERT_TRUE(w.ok());
+    EXPECT_TRUE(w.ok());
     BinaryWriter bw = std::move(w).ValueOrDie();
     bw.Write<uint64_t>(1);  // one cell
-    std::vector<InvertedIndex::Posting> postings{{0, 100, 5}};
     bw.WriteVector(postings);
-    bw.WriteVector(std::vector<VecId>{1, 2, 3});  // only 3 ids
-    ASSERT_TRUE(bw.Close().ok());
+    bw.WriteVector(std::vector<VecId>{1, 2, 3});
+    EXPECT_TRUE(bw.Close().ok());
   }
   auto r = BinaryReader::Open(path);
-  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.ok());
   BinaryReader br = std::move(r).ValueOrDie();
   InvertedIndex loaded;
-  EXPECT_FALSE(loaded.Deserialize(&br).ok());
+  Status st = loaded.Deserialize(&br, num_columns);
   std::remove(path.c_str());
+  return st;
+}
+
+TEST(InvertedIndexTest, DeserializeRejectsDanglingPostings) {
+  EXPECT_TRUE(DeserializeOneCell({{0, 0, 2}, {1, 2, 1}}, 2).ok());
+  // A posting pointing past vec_ids.
+  EXPECT_EQ(DeserializeOneCell({{0, 100, 5}}, 1).code(),
+            Status::Code::kCorruption);
+  // A column outside the catalog.
+  EXPECT_EQ(DeserializeOneCell({{0, 0, 2}, {2, 2, 1}}, 2).code(),
+            Status::Code::kCorruption);
+  // A cell listing one column twice, or out of column order.
+  EXPECT_EQ(DeserializeOneCell({{1, 0, 2}, {1, 2, 1}}, 2).code(),
+            Status::Code::kCorruption);
+  EXPECT_EQ(DeserializeOneCell({{1, 0, 2}, {0, 2, 1}}, 2).code(),
+            Status::Code::kCorruption);
 }
 
 TEST(InvertedIndexTest, MemoryBytesTracksContent) {

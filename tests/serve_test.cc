@@ -34,6 +34,7 @@ using testing::BindQuery;
 using testing::MustSearch;
 using testing::MakeClusteredCatalog;
 using testing::MakeClusteredQuery;
+using testing::MakeJoiningQuery;
 
 /// Field-by-field equality of two result sets, mapping included — the
 /// "byte-identical" serving contract.
@@ -59,12 +60,21 @@ class ServeTest : public ::testing::Test {
   static constexpr uint32_t kDim = 8;
   static constexpr size_t kParts = 4;
 
+  static ColumnCatalog Catalog() {
+    return MakeClusteredCatalog(9100, kDim, 48, 12);
+  }
+
+  /// Query `variant`, built to join the fixture catalog.
+  static VectorStore Query(uint64_t variant, uint32_t size) {
+    return MakeJoiningQuery(Catalog(), variant, size);
+  }
+
   static void SetUpTestSuite() {
     namespace fs = std::filesystem;
     dir_ = new std::string(::testing::TempDir() + "/serve_parts");
     fs::remove_all(*dir_);
     metric_ = new L2Metric();
-    ColumnCatalog catalog = MakeClusteredCatalog(9100, kDim, 48, 12);
+    ColumnCatalog catalog = Catalog();
     Partitioner::Options popts;
     popts.k = kParts;
     auto assign = Partitioner::Random(catalog, popts);
@@ -417,12 +427,13 @@ TEST_F(ServeTest, StreamingChunksEqualBatchCollectedResults) {
   PartitionedPexeso parts = OpenParts();
   IndexCache cache({.budget_bytes = size_t{1} << 30});
   parts.AttachCache(&cache);
-  VectorStore query = MakeClusteredQuery(9300, kDim, 14);
+  VectorStore query = Query(9300, 14);
   const JoinQuery sopts = MakeJoinQuery(query.size());
 
   SearchStats serial_stats;
   auto serial = ExecuteCollect(parts, BindQuery(query, sopts), &serial_stats);
   ASSERT_TRUE(serial.ok());
+  ASSERT_FALSE(serial.value().empty());  // a vacuous parity proves nothing
 
   for (size_t threads : {size_t{1}, size_t{8}}) {
     ServeSession session(&parts, {.num_threads = threads});
@@ -466,7 +477,7 @@ TEST_F(ServeTest, DeterministicAtAnyThreadCountAndBudget) {
   PartitionedPexeso oracle = OpenParts();
   std::vector<VectorStore> queries;
   for (size_t i = 0; i < 6; ++i) {
-    queries.push_back(MakeClusteredQuery(9400 + i, kDim, 10 + i));
+    queries.push_back(Query(9400 + i, 10 + i));
   }
   std::vector<JoinQuery> sopts;
   std::vector<std::vector<JoinableColumn>> expected;
@@ -476,6 +487,7 @@ TEST_F(ServeTest, DeterministicAtAnyThreadCountAndBudget) {
     auto serial = ExecuteCollect(oracle, BindQuery(queries[i], sopts[i]),
                                  &expected_stats[i]);
     ASSERT_TRUE(serial.ok());
+    ASSERT_FALSE(serial.value().empty()) << "query " << i;
     expected.push_back(std::move(serial).ValueOrDie());
   }
 
@@ -522,11 +534,12 @@ TEST_F(ServeTest, IntraQueryShardsStayByteIdenticalInSessions) {
   // outcome (results and stats counters) must stay byte-identical to the
   // serial Execute oracle.
   PartitionedPexeso oracle = OpenParts();
-  VectorStore query = MakeClusteredQuery(9700, kDim, 48);
+  VectorStore query = Query(9700, 48);
   const JoinQuery sopts = MakeJoinQuery(query.size());
   SearchStats serial_stats;
   auto serial = ExecuteCollect(oracle, BindQuery(query, sopts), &serial_stats);
   ASSERT_TRUE(serial.ok());
+  ASSERT_FALSE(serial.value().empty());
 
   for (size_t intra : {size_t{2}, size_t{4}}) {
     PartitionedPexeso parts = OpenParts();
@@ -552,7 +565,7 @@ TEST_F(ServeTest, ExpiredQueryDropsEveryQueuedPart) {
   // dropped at its pre-flight check, counted in deadline_expired, and no
   // verification work (distance computations) ever runs.
   PartitionedPexeso parts = OpenParts();
-  VectorStore query = MakeClusteredQuery(9600, kDim, 12);
+  VectorStore query = Query(9600, 12);
   JoinQuery sopts = MakeJoinQuery(query.size());
   sopts.deadline = Deadline::After(-1.0);  // expired before submission
 
@@ -571,7 +584,7 @@ TEST_F(ServeTest, CancelledQueryDropsStillQueuedParts) {
   // Same pre-flight drop for cancellation: with the token tripped before
   // the pool picks the tasks up, no part runs verification.
   PartitionedPexeso parts = OpenParts();
-  VectorStore query = MakeClusteredQuery(9601, kDim, 12);
+  VectorStore query = Query(9601, 12);
   JoinQuery sopts = MakeJoinQuery(query.size());
   sopts.cancel = CancelToken::Create();
   sopts.cancel.Cancel();
@@ -587,15 +600,16 @@ TEST_F(ServeTest, CancelledQueryDropsStillQueuedParts) {
 
 TEST_F(ServeTest, SessionOverInMemoryEngineMatchesDirectSearch) {
   // The generic (non-partitioned) path: one task per query, no merge step.
-  ColumnCatalog catalog = MakeClusteredCatalog(9100, kDim, 48, 12);
+  ColumnCatalog catalog = Catalog();
   PexesoOptions opts;
   opts.num_pivots = 3;
   opts.levels = 4;
   PexesoIndex index = PexesoIndex::Build(std::move(catalog), metric_, opts);
   PexesoSearcher searcher(&index);
-  VectorStore query = MakeClusteredQuery(9500, kDim, 12);
+  VectorStore query = Query(9500, 12);
   const JoinQuery sopts = MakeJoinQuery(query.size());
   auto direct = MustSearch(searcher, query, sopts, nullptr);
+  ASSERT_FALSE(direct.empty());
 
   ServeSession session(&searcher, {.num_threads = 4});
   auto future = session.Submit(BindQuery(query, sopts));
@@ -609,10 +623,11 @@ TEST_F(ServeTest, SessionsShareOnePoolViaTaskGroups) {
   PartitionedPexeso parts = OpenParts();
   IndexCache cache({.budget_bytes = size_t{1} << 30});
   parts.AttachCache(&cache);
-  VectorStore query = MakeClusteredQuery(9600, kDim, 12);
+  VectorStore query = Query(9600, 12);
   const JoinQuery sopts = MakeJoinQuery(query.size());
   auto serial = ExecuteCollect(parts, BindQuery(query, sopts));
   ASSERT_TRUE(serial.ok());
+  ASSERT_FALSE(serial.value().empty());
 
   ThreadPool pool(4);
   ServeSession a(&parts, {}, &pool);
@@ -668,7 +683,7 @@ TEST_F(ServeTest, ThrowingStreamCallbackFailsTheQuery) {
   // A consumer that explodes mid-stream must surface on the query outcome,
   // not vanish into (or wedge) the thread pool.
   PartitionedPexeso parts = OpenParts();
-  VectorStore query = MakeClusteredQuery(9750, kDim, 12);
+  VectorStore query = Query(9750, 12);
   ServeSession session(&parts, {.num_threads = 2});
   session.SubmitStreaming(BindQuery(query, MakeJoinQuery(query.size())), [](const StreamChunk& chunk) {
                             if (chunk.part == 1) {
@@ -696,7 +711,7 @@ TEST_F(ServeTest, PartitionMajorBatchMatchesQueryMajorAndSerial) {
   std::vector<VectorStore> queries;
   std::vector<JoinQuery> sopts;
   for (size_t i = 0; i < 12; ++i) {
-    queries.push_back(MakeClusteredQuery(9800 + i, kDim, 9 + i % 5));
+    queries.push_back(Query(9800 + i, 9 + i % 5));
     sopts.push_back(MakeJoinQuery(queries.back().size()));
   }
   std::vector<std::vector<JoinableColumn>> serial;
@@ -705,6 +720,7 @@ TEST_F(ServeTest, PartitionMajorBatchMatchesQueryMajorAndSerial) {
     auto r = ExecuteCollect(parts, BindQuery(queries[i], sopts[i]),
                             &serial_stats);
     ASSERT_TRUE(r.ok());
+    ASSERT_FALSE(r.value().empty()) << "query " << i;
     serial.push_back(std::move(r).ValueOrDie());
   }
 
@@ -737,7 +753,7 @@ TEST_F(ServeTest, PartitionMajorWithCacheLoadsEachPartitionOncePerBatch) {
   parts.AttachCache(&cache);
   std::vector<VectorStore> queries;
   for (size_t i = 0; i < 8; ++i) {
-    queries.push_back(MakeClusteredQuery(9900 + i, kDim, 10));
+    queries.push_back(Query(9900 + i, 10));
   }
   // kAuto must flip to partition-major (budget cannot hold the parts), so
   // the batch performs exactly one load per partition — not one per

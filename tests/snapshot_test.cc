@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -256,6 +257,65 @@ TEST_F(SnapshotTest, CorruptFlatSnapshotsAreRejected) {
     EXPECT_FALSE(loaded.ok()) << "truncation to " << sz << " loaded";
   }
   fs::remove(mutant);
+}
+
+/// Rewrites one posting's column in a copy of snapshot `src` and re-seals
+/// its CRC footer, so only the loader's structural checks stand between the
+/// crafted file and a query. The posting is the last one of the first cell
+/// holding two, found by its bytes (its vec_begin is unique in the index);
+/// `pick` receives that cell's postings and returns the new column.
+template <typename Pick>
+void CraftPosting(const PexesoIndex& built, const std::string& src,
+                  const std::string& dst, Pick pick) {
+  std::ifstream in(src, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  const InvertedIndex& inv = built.inverted_index();
+  uint32_t cell = 0;
+  while (cell < inv.num_cells() && inv.PostingsOf(cell).size() < 2) ++cell;
+  ASSERT_LT(cell, inv.num_cells());
+  const auto postings = inv.PostingsOf(cell);
+  InvertedIndex::Posting p = postings.back();
+  const std::string needle(reinterpret_cast<const char*>(&p), sizeof(p));
+  const size_t at = bytes.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(needle, at + 1), std::string::npos);
+  p.column = pick(postings);
+  std::memcpy(bytes.data() + at, &p, sizeof(p));
+  const uint32_t crc = Crc32Update(0, bytes.data(), bytes.size() - 8);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+  std::ofstream out(dst, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good());
+}
+
+/// A snapshot with a valid CRC whose postings name a column outside the
+/// catalog, or one column twice in a cell, is rejected at load by both the
+/// streamed (v2) and the flat (v3) loader: such a file would index the
+/// per-column candidate arrays out of bounds during the first query.
+TEST_F(SnapshotTest, CraftedPostingsAreRejected) {
+  const std::string mutant = *dir_ + "/crafted.pxso";
+  const ColumnId ncols = static_cast<ColumnId>(built_->catalog().num_columns());
+  for (const std::string& src : {V2Path(), V3Path()}) {
+    SCOPED_TRACE(src);
+    // Control: re-sealing an unchanged posting loads fine.
+    CraftPosting(*built_, src, mutant,
+                 [](auto postings) { return postings.back().column; });
+    EXPECT_TRUE(PexesoIndex::Load(mutant, metric_).ok());
+
+    CraftPosting(*built_, src, mutant, [&](auto) { return ncols; });
+    auto out_of_range = PexesoIndex::Load(mutant, metric_);
+    EXPECT_EQ(out_of_range.status().code(), Status::Code::kCorruption)
+        << out_of_range.status().ToString();
+
+    CraftPosting(*built_, src, mutant, [](auto postings) {
+      return postings[postings.size() - 2].column;
+    });
+    auto duplicated = PexesoIndex::Load(mutant, metric_);
+    EXPECT_EQ(duplicated.status().code(), Status::Code::kCorruption)
+        << duplicated.status().ToString();
+  }
+  std::filesystem::remove(mutant);
 }
 
 /// The upgrade path (`pexeso_cli snapshot --upgrade` does exactly this):

@@ -128,6 +128,33 @@ inline VectorStore MakeClusteredQuery(uint64_t seed, uint32_t dim,
   return store;
 }
 
+/// Builds a query column of `size` rows that joins `catalog`: the first
+/// ceil(size / 2) rows are light perturbations (noise `sigma`) of one
+/// target column's vectors, so at a tau above that noise the column matches
+/// at any T up to 50%; the rest perturb vectors drawn anywhere in the
+/// catalog. `variant` picks
+/// the target and every draw. (A query generated from a seed of its own
+/// draws cluster centers of its own and can miss every column, which turns
+/// a parity check into a comparison of empty answers.)
+inline VectorStore MakeJoiningQuery(const ColumnCatalog& catalog,
+                                    uint64_t variant, uint32_t size,
+                                    double sigma = 0.01) {
+  Rng rng(variant);
+  const ColumnMeta& target = catalog.column(
+      static_cast<ColumnId>(rng.Uniform(catalog.num_columns())));
+  const uint32_t dim = catalog.dim();
+  VectorStore store(dim);
+  for (uint32_t r = 0; r < size; ++r) {
+    const VecId v =
+        r < (size + 1) / 2
+            ? target.first + r % target.count
+            : static_cast<VecId>(rng.Uniform(catalog.num_vectors()));
+    const float* base = catalog.store().View(v);
+    store.Add(Perturb(&rng, std::vector<float>(base, base + dim), sigma));
+  }
+  return store;
+}
+
 /// Sorted column ids of a result set (for equality assertions).
 inline std::vector<ColumnId> ResultColumns(
     const std::vector<JoinableColumn>& results) {

@@ -278,12 +278,16 @@ if [[ "${PEXESO_CI_SANITIZE:-1}" == "1" ]]; then
   # use-after-scope on the attempt frame would live. part_executor_test
   # joins for the part executor's slots: every schedule moves columns out
   # of them at gather time, broken parts and cancellations included.
+  # core_search_test, invindex_test and batch_runner_test join for stage-1
+  # candidate generation: its per-column stamp arrays are indexed by the
+  # postings' column ids, and these suites drive it through every metric,
+  # ablation, append and tombstone, so an out-of-bounds stamp shows here.
   cmake --build "$SAN_DIR" -j "$JOBS" \
     --target kernel_test vec_test serve_test common_test pipeline_test \
     topk_test lake_test fault_test net_test snapshot_test shard_test \
-    part_executor_test
+    part_executor_test core_search_test invindex_test batch_runner_test
   ctest --test-dir "$SAN_DIR" --output-on-failure --timeout 600 \
-    -R '^(kernel_test|vec_test|serve_test|common_test|pipeline_test|topk_test|lake_test|fault_test|net_test|snapshot_test|shard_test|part_executor_test)$'
+    -R '^(kernel_test|vec_test|serve_test|common_test|pipeline_test|topk_test|lake_test|fault_test|net_test|snapshot_test|shard_test|part_executor_test|core_search_test|invindex_test|batch_runner_test)$'
 fi
 
 if [[ "${PEXESO_CI_TSAN:-1}" == "1" ]]; then
