@@ -18,8 +18,7 @@
 //               1-core CI box's ~1.0x reads as what it is.
 //
 // Results go to stdout and BENCH_pipeline.json ("BENCH_pipeline/v1"), like
-// BENCH_kernels.json / BENCH_serve.json, so successive PRs track the
-// trajectory.
+// BENCH_kernels.json, so successive changes track the trajectory.
 
 #include <algorithm>
 #include <cstdlib>

@@ -13,10 +13,6 @@ struct AblationConfig {
   bool use_lemma56 = true;   ///< vector-cell & cell-cell matching (block)
   bool use_lemma7 = true;    ///< column kill by mismatch counting (verify)
   bool use_quick_browsing = true;  ///< probe co-located leaf cells up front
-  /// int8 quantized tile tier ahead of the exact float tiles (verify). The
-  /// quantized bound only ever decides pairs it provably decides correctly,
-  /// so — like every other switch — results are identical on or off.
-  bool use_quant_prefilter = true;
   /// kTopK only: verify a shard's columns in descending upper-bound order
   /// (candidate-count = achievable match count) instead of ascending id, so
   /// likely winners run first and the k-th-best bound tightens sooner.

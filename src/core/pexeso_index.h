@@ -13,7 +13,6 @@
 #include "pivot/pivot_space.h"
 #include "vec/column_catalog.h"
 #include "vec/metric.h"
-#include "vec/quant.h"
 
 namespace pexeso {
 
@@ -65,7 +64,6 @@ class PexesoIndex {
   const PivotSpace& pivots() const { return pivots_; }
   const HierarchicalGrid& grid() const { return grid_; }
   const InvertedIndex& inverted_index() const { return inv_; }
-  const QuantStore& quant() const { return quant_; }
   const Metric* metric() const { return metric_; }
   const PexesoOptions& options() const { return options_; }
 
@@ -94,6 +92,11 @@ class PexesoIndex {
 
   /// Snapshot disk version this index was loaded from (0 for built ones).
   uint32_t loaded_version() const { return loaded_version_; }
+
+  /// True when the flat snapshot this index was loaded from sets the
+  /// retired quant prelude byte, i.e. still carries the unread int8 tier
+  /// sections (kinds 10-12) that `pexeso_cli snapshot --upgrade` drops.
+  bool loaded_retired_sections() const { return loaded_retired_sections_; }
 
   /// Copies every mapped section onto the heap and releases the mapping;
   /// no-op for heap indexes. Mutators call this, so a mapped snapshot is
@@ -147,8 +150,6 @@ class PexesoIndex {
   /// alive and reports is_mapped().
   static Result<PexesoIndex> LoadMapped(std::shared_ptr<MappedFile> file,
                                         const Metric* metric);
-  /// (Re)builds the quantized pre-filter tier from the float vectors.
-  void RebuildQuant();
 
   ColumnCatalog catalog_;
   PivotSpace pivots_;
@@ -156,12 +157,12 @@ class PexesoIndex {
   const double* mapped_ext_ = nullptr;  ///< non-null => mapped-snapshot view
   HierarchicalGrid grid_;
   InvertedIndex inv_;
-  QuantStore quant_;
   std::vector<uint8_t> tombstones_;
   const Metric* metric_ = nullptr;
   PexesoOptions options_;
   std::shared_ptr<MappedFile> mapping_;  ///< keeps viewed sections alive
   uint32_t loaded_version_ = 0;
+  bool loaded_retired_sections_ = false;
 };
 
 }  // namespace pexeso

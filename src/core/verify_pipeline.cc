@@ -1,7 +1,6 @@
 #include "core/verify_pipeline.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <exception>
 #include <mutex>
@@ -11,7 +10,6 @@
 #include "common/thread_pool.h"
 #include "invindex/inverted_index.h"
 #include "vec/kernels.h"
-#include "vec/quant.h"
 
 namespace pexeso {
 namespace {
@@ -27,9 +25,6 @@ constexpr size_t kTileVecs = 256;
 
 /// Per-column verification states, identical to the serial scan's.
 enum : uint8_t { kActive = 0, kJoinable = 1, kDead = 2 };
-
-/// Byte value of QuantVerdict::kMaybe as stored in TileScratch::qclass.
-constexpr uint8_t kQuantMaybe = static_cast<uint8_t>(QuantVerdict::kMaybe);
 
 /// True when `b` repeats `a`'s exact range list (and is a real candidate
 /// pair, not a cell-matched one): such consecutive pairs of one column form
@@ -65,16 +60,6 @@ struct VerifyPipeline::TileScratch {
   std::vector<double> cmp;         ///< tile output (comparison space)
   std::vector<uint8_t> matched;    ///< per-run pair outcomes
   std::vector<uint32_t> first_match;  ///< per-query first match (mappings)
-
-  // Quantized pre-filter tier (int8 tiles ahead of the exact float tiles).
-  std::vector<int8_t> qcodes;    ///< packed query codes of one row-block
-  std::vector<double> qeps;      ///< their quantization error norms
-  std::vector<int8_t> cbase;     ///< gathered candidate code rows (vec-tile)
-  std::vector<double> cerr;      ///< their stored error norms
-  std::vector<int32_t> qsum;     ///< quant tile output (integer sums)
-  std::vector<uint8_t> qclass;   ///< per-slot verdicts of one row-block
-  std::vector<uint32_t> need;    ///< maybe columns needing exact re-check
-  std::vector<uint32_t> need_pos;  ///< tile column -> index into `need`
 };
 
 void VerifyPipeline::GenerateCandidates(const BlockResult& blocks,
@@ -394,8 +379,8 @@ Status VerifyPipeline::VerifyShard(const CandidateSet& cands, ColumnId col_lo,
       }
       PEXESO_DCHECK(k >= 1);
       scratch.matched.assign(k, 0);
-      EvaluateRun(cands, col, i, k, query, mapped_q, jq, query_norms,
-                  repo_norms, &scratch, scratch.matched.data(), stats);
+      EvaluateRun(cands, i, k, query, mapped_q, jq, query_norms, repo_norms,
+                  &scratch, scratch.matched.data(), stats);
       // Replay the serial outcome application verbatim.
       for (size_t j = 0; j < k; ++j) {
         if (scratch.matched[j]) {
@@ -428,8 +413,8 @@ Status VerifyPipeline::VerifyShard(const CandidateSet& cands, ColumnId col_lo,
   return live;
 }
 
-void VerifyPipeline::EvaluateRun(const CandidateSet& cands, ColumnId col,
-                                 size_t i, size_t k, const VectorStore& query,
+void VerifyPipeline::EvaluateRun(const CandidateSet& cands, size_t i,
+                                 size_t k, const VectorStore& query,
                                  const std::vector<double>& mapped_q,
                                  const JoinQuery& jq,
                                  const float* query_norms,
@@ -453,14 +438,14 @@ void VerifyPipeline::EvaluateRun(const CandidateSet& cands, ColumnId col,
     // the rows of one many-to-many tile group.
     size_t j2 = j + 1;
     while (j2 < k && SameRanges(cands, b, cands.blocks[i + j2])) ++j2;
-    EvaluateGroup(cands, col, cands.blocks.data() + i + j, j2 - j, query,
+    EvaluateGroup(cands, cands.blocks.data() + i + j, j2 - j, query,
                   mapped_q, jq, query_norms, repo_norms, scratch, matched + j,
                   stats);
     j = j2;
   }
 }
 
-void VerifyPipeline::EvaluateGroup(const CandidateSet& cands, ColumnId col,
+void VerifyPipeline::EvaluateGroup(const CandidateSet& cands,
                                    const CandidateBlock* group, size_t m,
                                    const VectorStore& query,
                                    const std::vector<double>& mapped_q,
@@ -583,167 +568,6 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands, ColumnId col,
   const double bound = ks->CmpBound(tau);
   auto& live = rows;  // unresolved rows, ascending — shrinks per vec-tile
   auto& next_live = scratch->next_rows;
-
-  const QuantStore& quant = index_->quant();
-  if (jq.ablation.use_quant_prefilter && quant.CompatibleWith(ks->kind)) {
-    // Quantized pre-filter tier: an int8 tile classifies every slot as a
-    // provable match, a provable miss, or too-close-to-call; only the
-    // maybe columns reach the exact float tile. That tile keeps ALL rlen
-    // rows of the block — a slot's float kernel value depends only on its
-    // row's position category within the block, never on which columns sit
-    // beside it — so every float comparison performed is bit-identical to
-    // the quant-off run and results cannot drift (the per-block counter
-    // invariant distance_computations + quant_tile_skips == rows x slots
-    // holds exactly; snapshot_test.cc asserts both).
-    const int8_t* codes = quant.codes();
-    const float* errs = quant.err();
-    for (size_t v0 = 0; v0 < un && !live.empty(); v0 += kTileVecs) {
-      const size_t vlen = std::min<size_t>(kTileVecs, un - v0);
-      auto& cbase = scratch->cbase;
-      cbase.resize(vlen * dim);
-      auto& cerr = scratch->cerr;
-      cerr.resize(vlen);
-      for (size_t c = 0; c < vlen; ++c) {
-        const VecId id = ids[uni[v0 + c]];
-        std::memcpy(cbase.data() + c * dim,
-                    codes + static_cast<size_t>(id) * dim, dim);
-        cerr[c] = errs[id];
-      }
-      next_live.clear();
-      for (size_t r0 = 0; r0 < live.size(); r0 += kTileRows) {
-        const size_t rlen = std::min<size_t>(kTileRows, live.size() - r0);
-        auto& qcodes = scratch->qcodes;
-        qcodes.resize(rlen * dim);
-        auto& qeps = scratch->qeps;
-        qeps.resize(rlen);
-        for (size_t t = 0; t < rlen; ++t) {
-          const uint32_t q = group[live[r0 + t]].query;
-          qeps[t] =
-              quant.QuantizeQuery(query.View(q), col, qcodes.data() + t * dim);
-        }
-        auto& qsum = scratch->qsum;
-        qsum.resize(rlen * vlen);
-        ks->QuantTile(qcodes.data(), rlen, cbase.data(), vlen, dim,
-                      qsum.data());
-        // Classify each row's masked slots in ascending order; the first
-        // provable match resolves the row outright and the rest of its
-        // slots are never named.
-        auto& qclass = scratch->qclass;
-        qclass.resize(rlen * vlen);
-        std::array<uint8_t, kTileRows> defhit{};
-        for (size_t t = 0; t < rlen; ++t) {
-          const uint32_t r = live[r0 + t];
-          const uint8_t* mrow = mask.data() + static_cast<size_t>(r) * nv;
-          uint8_t* crow = qclass.data() + t * vlen;
-          for (size_t c = 0; c < vlen; ++c) {
-            if (!mrow[uni[v0 + c]]) continue;
-            const QuantVerdict v = quant.Classify(qsum[t * vlen + c], col,
-                                                  qeps[t], cerr[c], tau);
-            crow[c] = static_cast<uint8_t>(v);
-            if (v == QuantVerdict::kMatch) {
-              defhit[t] = 1;
-              break;
-            }
-          }
-        }
-        // The unresolved rows' maybe slots (deduplicated) form the exact
-        // tile's column set.
-        auto& need = scratch->need;
-        need.clear();
-        auto& need_pos = scratch->need_pos;
-        need_pos.assign(vlen, UINT32_MAX);
-        for (size_t t = 0; t < rlen; ++t) {
-          if (defhit[t]) continue;
-          const uint32_t r = live[r0 + t];
-          const uint8_t* mrow = mask.data() + static_cast<size_t>(r) * nv;
-          const uint8_t* crow = qclass.data() + t * vlen;
-          for (size_t c = 0; c < vlen; ++c) {
-            if (!mrow[uni[v0 + c]]) continue;
-            if (crow[c] == kQuantMaybe && need_pos[c] == UINT32_MAX) {
-              need_pos[c] = static_cast<uint32_t>(need.size());
-              need.push_back(static_cast<uint32_t>(c));
-            }
-          }
-        }
-        const size_t ns = need.size();
-        if (ns > 0) {
-          auto& qrows = scratch->qrows;
-          qrows.resize(rlen * dim);
-          auto& qn = scratch->qnorms;
-          qn.resize(rlen);
-          for (size_t t = 0; t < rlen; ++t) {
-            const uint32_t q = group[live[r0 + t]].query;
-            std::memcpy(qrows.data() + t * dim, query.View(q),
-                        dim * sizeof(float));
-            qn[t] = query_norms != nullptr
-                        ? static_cast<double>(query_norms[q])
-                        : 1.0;
-          }
-          auto& base = scratch->base;
-          base.resize(ns * dim);
-          for (size_t c = 0; c < ns; ++c) {
-            std::memcpy(base.data() + c * dim,
-                        rstore.View(ids[uni[v0 + need[c]]]),
-                        dim * sizeof(float));
-          }
-          auto& bnorms = scratch->base_norms;
-          if (norms) {
-            bnorms.resize(ns);
-            for (size_t c = 0; c < ns; ++c) {
-              bnorms[c] = repo_norms[ids[uni[v0 + need[c]]]];
-            }
-          }
-          auto& cmp = scratch->cmp;
-          cmp.resize(rlen * ns);
-          ks->CmpTileNormed(qrows.data(), qn.data(), base.data(),
-                            norms ? bnorms.data() : nullptr, rlen, ns, dim,
-                            cmp.data());
-          ++stats->tiles_evaluated;
-          stats->distance_computations += static_cast<uint64_t>(rlen) * ns;
-          stats->sqrt_free_comparisons +=
-              static_cast<uint64_t>(rlen) * ns * pred.sqrt_saved();
-          stats->quant_tile_skips +=
-              static_cast<uint64_t>(rlen) * (vlen - ns);
-          for (size_t t = 0; t < rlen; ++t) {
-            const uint32_t r = live[r0 + t];
-            if (defhit[t]) {
-              matched[r] = 1;
-              continue;
-            }
-            const uint8_t* mrow = mask.data() + static_cast<size_t>(r) * nv;
-            const uint8_t* crow = qclass.data() + t * vlen;
-            const double* drow = cmp.data() + t * ns;
-            bool hit = false;
-            for (size_t c = 0; c < vlen; ++c) {
-              if (!mrow[uni[v0 + c]]) continue;
-              if (crow[c] != kQuantMaybe) continue;
-              if (drow[need_pos[c]] <= bound) {
-                hit = true;
-                break;
-              }
-            }
-            if (hit) {
-              matched[r] = 1;
-            } else {
-              next_live.push_back(r);
-            }
-          }
-        } else {
-          stats->quant_tile_skips += static_cast<uint64_t>(rlen) * vlen;
-          for (size_t t = 0; t < rlen; ++t) {
-            const uint32_t r = live[r0 + t];
-            if (defhit[t]) {
-              matched[r] = 1;
-            } else {
-              next_live.push_back(r);
-            }
-          }
-        }
-      }
-      std::swap(live, next_live);
-    }
-    return;
-  }
 
   for (size_t v0 = 0; v0 < un && !live.empty(); v0 += kTileVecs) {
     const size_t vlen = std::min<size_t>(kTileVecs, un - v0);
@@ -895,9 +719,6 @@ void VerifyPipeline::MapColumn(JoinableColumn* jc, const VectorStore& query,
   const uint32_t nv = meta.count;
   const RangePredicate pred(*index_->metric(), tau);
   const KernelSet* ks = pred.kernels();
-  const QuantStore& quant = index_->quant();
-  const bool use_quant = ks != nullptr && jq.ablation.use_quant_prefilter &&
-                         quant.CompatibleWith(ks->kind);
 
   jc->mapping.clear();
   auto& first_match = scratch->first_match;
@@ -991,156 +812,6 @@ void VerifyPipeline::MapColumn(JoinableColumn* jc, const VectorStore& query,
     if (uni.empty()) continue;  // unreachable given tile_rows; defensive
     const size_t un = uni.size();
     const bool norms = pred.wants_norms();
-
-    if (use_quant) {
-      // Quantized pre-filter over this tile. Mappings must name the FIRST
-      // matching vector, so each row records the position of its first
-      // provable match (dm); only maybe slots strictly before it need the
-      // exact float tile — everything past dm is decided by dm itself. As
-      // in EvaluateGroup, the exact tile keeps all rlen rows so every float
-      // value is bit-identical to the quant-off sweep.
-      const double bound = ks->CmpBound(tau);
-      const int8_t* codes = quant.codes();
-      const float* errs = quant.err();
-      // The column's code rows are contiguous: a full union views them in
-      // place, a thinned one gathers once (mirroring the float compaction).
-      const int8_t* ucodes =
-          codes + static_cast<size_t>(meta.first + v0) * dim;
-      auto& cerr = scratch->cerr;
-      if (un < vlen) {
-        auto& cbase = scratch->cbase;
-        cbase.resize(un * dim);
-        cerr.resize(un);
-        for (size_t c = 0; c < un; ++c) {
-          const size_t id = static_cast<size_t>(meta.first) + v0 + uni[c];
-          std::memcpy(cbase.data() + c * dim, codes + id * dim, dim);
-          cerr[c] = errs[id];
-        }
-        ucodes = cbase.data();
-      } else {
-        const float* e = errs + meta.first + v0;
-        cerr.assign(e, e + un);
-      }
-      for (size_t r0 = 0; r0 < tile_rows.size(); r0 += kTileRows) {
-        const size_t rlen =
-            std::min<size_t>(kTileRows, tile_rows.size() - r0);
-        auto& qcodes = scratch->qcodes;
-        qcodes.resize(rlen * dim);
-        auto& qeps = scratch->qeps;
-        qeps.resize(rlen);
-        for (size_t t = 0; t < rlen; ++t) {
-          const uint32_t q = live[tile_rows[r0 + t]];
-          qeps[t] = quant.QuantizeQuery(query.View(q), jc->column,
-                                        qcodes.data() + t * dim);
-        }
-        auto& qsum = scratch->qsum;
-        qsum.resize(rlen * un);
-        ks->QuantTile(qcodes.data(), rlen, ucodes, un, dim, qsum.data());
-        auto& qclass = scratch->qclass;
-        qclass.resize(rlen * un);
-        std::array<uint32_t, kTileRows> dm;
-        dm.fill(UINT32_MAX);
-        for (size_t t = 0; t < rlen; ++t) {
-          const uint32_t lt = tile_rows[r0 + t];
-          const uint8_t* mrow = mask.data() + static_cast<size_t>(lt) * vlen;
-          uint8_t* crow = qclass.data() + t * un;
-          for (size_t c = 0; c < un; ++c) {
-            if (!mrow[uni[c]]) continue;
-            const QuantVerdict v = quant.Classify(qsum[t * un + c],
-                                                  jc->column, qeps[t],
-                                                  cerr[c], tau);
-            crow[c] = static_cast<uint8_t>(v);
-            if (v == QuantVerdict::kMatch) {
-              dm[t] = static_cast<uint32_t>(c);
-              break;
-            }
-          }
-        }
-        auto& need = scratch->need;
-        need.clear();
-        auto& need_pos = scratch->need_pos;
-        need_pos.assign(un, UINT32_MAX);
-        for (size_t t = 0; t < rlen; ++t) {
-          const uint32_t lt = tile_rows[r0 + t];
-          const uint8_t* mrow = mask.data() + static_cast<size_t>(lt) * vlen;
-          const uint8_t* crow = qclass.data() + t * un;
-          for (size_t c = 0; c < un && c < dm[t]; ++c) {
-            if (!mrow[uni[c]]) continue;
-            if (crow[c] == kQuantMaybe && need_pos[c] == UINT32_MAX) {
-              need_pos[c] = static_cast<uint32_t>(need.size());
-              need.push_back(static_cast<uint32_t>(c));
-            }
-          }
-        }
-        const size_t ns = need.size();
-        auto& cmp = scratch->cmp;
-        if (ns > 0) {
-          auto& qrows = scratch->qrows;
-          qrows.resize(rlen * dim);
-          auto& qn = scratch->qnorms;
-          qn.resize(rlen);
-          for (size_t t = 0; t < rlen; ++t) {
-            const uint32_t q = live[tile_rows[r0 + t]];
-            std::memcpy(qrows.data() + t * dim, query.View(q),
-                        dim * sizeof(float));
-            qn[t] = query_norms != nullptr
-                        ? static_cast<double>(query_norms[q])
-                        : 1.0;
-          }
-          auto& base = scratch->base;
-          base.resize(ns * dim);
-          for (size_t c = 0; c < ns; ++c) {
-            std::memcpy(base.data() + c * dim,
-                        tile_base + static_cast<size_t>(uni[need[c]]) * dim,
-                        dim * sizeof(float));
-          }
-          auto& bnorms = scratch->base_norms;
-          if (norms) {
-            bnorms.resize(ns);
-            for (size_t c = 0; c < ns; ++c) {
-              bnorms[c] = repo_norms[meta.first + v0 + uni[need[c]]];
-            }
-          }
-          cmp.resize(rlen * ns);
-          ks->CmpTileNormed(qrows.data(), qn.data(), base.data(),
-                            norms ? bnorms.data() : nullptr, rlen, ns, dim,
-                            cmp.data());
-          ++stats->tiles_evaluated;
-          stats->distance_computations += static_cast<uint64_t>(rlen) * ns;
-          stats->sqrt_free_comparisons +=
-              static_cast<uint64_t>(rlen) * ns * pred.sqrt_saved();
-          stats->quant_tile_skips += static_cast<uint64_t>(rlen) * (un - ns);
-        } else {
-          stats->quant_tile_skips += static_cast<uint64_t>(rlen) * un;
-        }
-        for (size_t t = 0; t < rlen; ++t) {
-          const uint32_t lt = tile_rows[r0 + t];
-          const uint32_t q = live[lt];
-          const uint8_t* mrow = mask.data() + static_cast<size_t>(lt) * vlen;
-          const uint8_t* crow = qclass.data() + t * un;
-          const double* drow = ns > 0 ? cmp.data() + t * ns : nullptr;
-          for (size_t c = 0; c < un; ++c) {
-            if (c == dm[t]) {
-              // Everything before dm was a provable miss or an exact-
-              // checked maybe that failed, so dm is the first match.
-              first_match[q] = meta.first + v0 + uni[c];
-              break;
-            }
-            if (!mrow[uni[c]]) continue;
-            if (crow[c] == kQuantMaybe && drow[need_pos[c]] <= bound) {
-              first_match[q] = meta.first + v0 + uni[c];
-              break;
-            }
-          }
-        }
-      }
-      next_live.clear();
-      for (uint32_t q : live) {
-        if (first_match[q] == UINT32_MAX) next_live.push_back(q);
-      }
-      std::swap(live, next_live);
-      continue;
-    }
 
     const float* ubase = tile_base;
     const float* ubnorms =

@@ -144,21 +144,20 @@ class VerifyPipeline {
                      const float* repo_norms, std::vector<uint32_t>* match_map,
                      std::vector<uint8_t>* pruned, SearchStats* stats) const;
 
-  /// Resolves pairs blocks[i..i+k) of column `col` (a safe batch: no
+  /// Resolves pairs blocks[i..i+k) of one column (a safe batch: no
   /// skip-triggering transition can occur before the last pair), filling
   /// matched[0..k).
-  void EvaluateRun(const CandidateSet& cands, ColumnId col, size_t i,
-                   size_t k, const VectorStore& query,
+  void EvaluateRun(const CandidateSet& cands, size_t i, size_t k,
+                   const VectorStore& query,
                    const std::vector<double>& mapped_q, const JoinQuery& jq,
                    const float* query_norms, const float* repo_norms,
                    TileScratch* scratch, uint8_t* matched,
                    SearchStats* stats) const;
 
-  /// Resolves one group of `m` consecutive pairs of column `col` sharing an
+  /// Resolves one group of `m` consecutive pairs of one column sharing an
   /// identical range list via gather + masked many-to-many tiles.
-  void EvaluateGroup(const CandidateSet& cands, ColumnId col,
-                     const CandidateBlock* group, size_t m,
-                     const VectorStore& query,
+  void EvaluateGroup(const CandidateSet& cands, const CandidateBlock* group,
+                     size_t m, const VectorStore& query,
                      const std::vector<double>& mapped_q, const JoinQuery& jq,
                      const float* query_norms, const float* repo_norms,
                      TileScratch* scratch, uint8_t* matched,

@@ -78,18 +78,6 @@ struct Ops {
   void (*l1_tile)(const float* qs, size_t nq, const float* base, size_t nv,
                   uint32_t dim, double* out);
 
-  // int8 tiles for the quantized pre-filter tier: integer code-difference
-  // sums over packed int8 rows. Affine per-column offsets cancel in the
-  // differences, so these sums are exact (int32) and convert to quantized
-  // distances with one multiply (src/vec/quant.h). |Δcode| <= 254, so
-  // the squared sum fits int32 for any dim the pre-filter accepts.
-
-  /// out[r*nv + c] = sum_i (qs[r*dim+i] - base[c*dim+i])^2 over int8 codes
-  void (*i8_sq_tile)(const int8_t* qs, size_t nq, const int8_t* base,
-                     size_t nv, uint32_t dim, int32_t* out);
-  /// out[r*nv + c] = sum_i |qs[r*dim+i] - base[c*dim+i]| over int8 codes
-  void (*i8_l1_tile)(const int8_t* qs, size_t nq, const int8_t* base,
-                     size_t nv, uint32_t dim, int32_t* out);
 };
 
 /// The portable tier (always available; also the reference in tests).
@@ -175,23 +163,6 @@ struct KernelSet {
   void CmpTileNormed(const float* qs, const double* qnorms, const float* base,
                      const float* base_norms, size_t nq, size_t nv,
                      uint32_t dim, double* out) const;
-
-  /// Whether this metric has a quantized pre-filter tile (cosine does not:
-  /// its comparison space is not a code-difference sum).
-  bool QuantSupported() const { return kind != MetricKind::kCosine; }
-
-  /// Quantized tile: out[r*nv + c] is the integer code-difference sum of
-  /// query codes row r against base codes row c — squared differences for
-  /// L2, absolute for L1. Callers convert with QuantStore::CodeSumToDist.
-  /// Must not be called when !QuantSupported().
-  void QuantTile(const int8_t* qs, size_t nq, const int8_t* base, size_t nv,
-                 uint32_t dim, int32_t* out) const {
-    if (kind == MetricKind::kL1) {
-      ops->i8_l1_tile(qs, nq, base, nv, dim, out);
-    } else {
-      ops->i8_sq_tile(qs, nq, base, nv, dim, out);
-    }
-  }
 
   /// Comparison-space value of one pair (see class comment).
   double Cmp1(const float* a, const float* b, uint32_t dim) const {

@@ -268,63 +268,11 @@ void NeonL1Tile(const float* qs, size_t nq, const float* base, size_t nv,
   }
 }
 
-// int8 code tiles: widen 8 codes at a time to int16, difference, widening
-// multiply-accumulate (squares) / widening absolute-difference accumulate
-// (L1) into int32 lanes. Integer arithmetic is exact — no lane-structure
-// concerns as with the float tiles.
-
-void NeonI8SqTile(const int8_t* qs, size_t nq, const int8_t* base, size_t nv,
-                  uint32_t dim, int32_t* out) {
-  for (size_t r = 0; r < nq; ++r) {
-    const int8_t* q = qs + r * dim;
-    for (size_t c = 0; c < nv; ++c) {
-      const int8_t* v = base + c * dim;
-      int32x4_t acc = vdupq_n_s32(0);
-      uint32_t i = 0;
-      for (; i + 8 <= dim; i += 8) {
-        const int16x8_t d = vsubq_s16(vmovl_s8(vld1_s8(q + i)),
-                                      vmovl_s8(vld1_s8(v + i)));
-        acc = vmlal_s16(acc, vget_low_s16(d), vget_low_s16(d));
-        acc = vmlal_s16(acc, vget_high_s16(d), vget_high_s16(d));
-      }
-      int32_t tail = 0;
-      for (; i < dim; ++i) {
-        const int32_t d = static_cast<int32_t>(q[i]) - v[i];
-        tail += d * d;
-      }
-      out[r * nv + c] = vaddvq_s32(acc) + tail;
-    }
-  }
-}
-
-void NeonI8L1Tile(const int8_t* qs, size_t nq, const int8_t* base, size_t nv,
-                  uint32_t dim, int32_t* out) {
-  for (size_t r = 0; r < nq; ++r) {
-    const int8_t* q = qs + r * dim;
-    for (size_t c = 0; c < nv; ++c) {
-      const int8_t* v = base + c * dim;
-      int32x4_t acc = vdupq_n_s32(0);
-      uint32_t i = 0;
-      for (; i + 8 <= dim; i += 8) {
-        const int16x8_t d = vabdl_s8(vld1_s8(q + i), vld1_s8(v + i));
-        acc = vpadalq_s16(acc, d);
-      }
-      int32_t tail = 0;
-      for (; i < dim; ++i) {
-        const int32_t d = static_cast<int32_t>(q[i]) - v[i];
-        tail += d < 0 ? -d : d;
-      }
-      out[r * nv + c] = vaddvq_s32(acc) + tail;
-    }
-  }
-}
-
 constexpr Ops kNeonOps = {
     SimdLevel::kNeon, &NeonSqL2,    &NeonSqL2Many,
     &NeonDot,         &NeonDotMany, &NeonCosCore,
     &NeonL1,          &NeonL1Many,  &NeonNorms,
     &NeonSqL2Tile,    &NeonDotTile, &NeonL1Tile,
-    &NeonI8SqTile,    &NeonI8L1Tile,
 };
 
 }  // namespace

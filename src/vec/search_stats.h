@@ -44,11 +44,11 @@ struct SearchStats {
   /// never on the shard layout, so the count is identical at any
   /// intra-query thread count.
   uint64_t tiles_evaluated = 0;
-  /// Exact float tile slots skipped because the int8 quantized pre-filter
-  /// tier decided the pair conservatively (definite match or definite miss
-  /// with calibrated slack). Each skip is a distance computation the float
-  /// tier never ran; like tiles_evaluated it is independent of the shard
-  /// layout and thread count.
+  /// Retired: counted float tile slots the int8 pre-filter tier skipped.
+  /// That tier is gone, so this always reads 0. The field stays because
+  /// DONE frames carry sizeof(SearchStats) and the decoder rejects any
+  /// other size; dropping it would break a coordinator and a shard built
+  /// from adjacent releases.
   uint64_t quant_tile_skips = 0;
   /// Largest number of candidate blocks any one verification shard owned —
   /// a shard-imbalance diagnostic. Unlike every other counter this merges

@@ -1,18 +1,19 @@
 // Snapshot format v2 (disk version 3) tests: flat mmap round trips, the
 // v1/v2/v3 byte-parity matrix across engines and intra-query thread counts,
-// the quant pre-filter's exactness contract (identical results AND the
-// counter invariant dc(on) + skips(on) == dc(off)), the corruption corpus
-// against the mmap load path, the upgrade round trip, and the cache's
-// mapped-bytes accounting.
+// the corruption corpus against the mmap load path, the upgrade round trip,
+// the checked-in older flat file that still carries the retired int8 tier
+// sections, and the cache's mapped-bytes accounting.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,13 +96,11 @@ class SnapshotTest : public ::testing::Test {
     return std::move(loaded).ValueOrDie();
   }
 
-  static JoinQuery MakeJoinQuery(size_t query_size, bool quant,
-                                 size_t threads) {
+  static JoinQuery MakeJoinQuery(size_t query_size, size_t threads) {
     FractionalThresholds ft{0.07, 0.4};
     JoinQuery jq;
     jq.thresholds = ft.Resolve(*metric_, kDim, query_size);
     jq.collect_mappings = true;
-    jq.ablation.use_quant_prefilter = quant;
     jq.intra_query_threads = threads;
     return jq;
   }
@@ -136,24 +135,24 @@ TEST_F(SnapshotTest, MaterializeDropsTheMapping) {
   ASSERT_TRUE(flat.is_mapped());
   VectorStore query = MakeClusteredQuery(7301, kDim, 12);
   PexesoSearcher before(&flat);
-  auto reference = MustSearch(before, query, MakeJoinQuery(12, true, 0));
+  auto reference = MustSearch(before, query, MakeJoinQuery(12, 0));
 
   flat.Materialize();
   EXPECT_FALSE(flat.is_mapped());
   EXPECT_EQ(flat.MappedBytes(), 0u);
   PexesoSearcher after(&flat);
-  auto owned = MustSearch(after, query, MakeJoinQuery(12, true, 0));
+  auto owned = MustSearch(after, query, MakeJoinQuery(12, 0));
   ExpectIdenticalResults(reference, owned);
 }
 
 /// The acceptance matrix: every snapshot version x {pexeso, pexeso-h} x
-/// intra thread count x quant on/off answers byte-identically to the
-/// freshly-built in-memory index with everything off.
+/// intra thread count answers byte-identically to the freshly-built
+/// in-memory index, and each engine's work counters are the same at every
+/// thread count.
 TEST_F(SnapshotTest, FormatParityMatrixAcrossEnginesAndThreads) {
   VectorStore query = MakeClusteredQuery(7301, kDim, 14);
   PexesoSearcher ref_engine(built_);
-  auto reference =
-      MustSearch(ref_engine, query, MakeJoinQuery(14, false, 0));
+  auto reference = MustSearch(ref_engine, query, MakeJoinQuery(14, 0));
   ASSERT_FALSE(reference.empty());  // the matrix must compare real matches
 
   for (const auto& path : {V1Path(), V2Path(), V3Path()}) {
@@ -163,60 +162,24 @@ TEST_F(SnapshotTest, FormatParityMatrixAcrossEnginesAndThreads) {
     for (const JoinSearchEngine* engine :
          {static_cast<const JoinSearchEngine*>(&pexeso),
           static_cast<const JoinSearchEngine*>(&pexeso_h)}) {
+      SearchStats serial;
       for (size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
-        for (bool quant : {false, true}) {
-          auto got = MustSearch(*engine, query,
-                                MakeJoinQuery(14, quant, threads));
-          ExpectIdenticalResults(reference, got);
+        SearchStats stats;
+        auto got = MustSearch(*engine, query, MakeJoinQuery(14, threads),
+                              &stats);
+        ExpectIdenticalResults(reference, got);
+        if (threads == 0) {
+          ASSERT_GT(stats.distance_computations, 0u);
+          serial = stats;
+          continue;
         }
+        EXPECT_EQ(stats.distance_computations, serial.distance_computations)
+            << path << " threads=" << threads;
+        EXPECT_EQ(stats.tiles_evaluated, serial.tiles_evaluated)
+            << path << " threads=" << threads;
       }
     }
   }
-}
-
-/// The quant tier is a pure pre-filter: identical results, and every float
-/// distance it skips is accounted for — dc(on) + skips(on) == dc(off).
-TEST_F(SnapshotTest, QuantCounterInvariant) {
-  PexesoIndex index = MustLoad(V3Path());
-  PexesoSearcher engine(&index);
-  VectorStore query = MakeClusteredQuery(7301, kDim, 14);
-
-  SearchStats off_stats;
-  auto off = MustSearch(engine, query, MakeJoinQuery(14, false, 0),
-                        &off_stats);
-  EXPECT_EQ(off_stats.quant_tile_skips, 0u);
-  ASSERT_GT(off_stats.distance_computations, 0u);
-
-  SearchStats on_stats;
-  auto on = MustSearch(engine, query, MakeJoinQuery(14, true, 0), &on_stats);
-  ExpectIdenticalResults(off, on);
-  EXPECT_GT(on_stats.quant_tile_skips, 0u);  // the tier must actually fire
-  EXPECT_EQ(on_stats.distance_computations + on_stats.quant_tile_skips,
-            off_stats.distance_computations);
-
-  // The counters themselves are part of the determinism contract: same
-  // totals at any intra-query thread count.
-  for (size_t threads : {size_t{2}, size_t{4}}) {
-    SearchStats t_stats;
-    auto got =
-        MustSearch(engine, query, MakeJoinQuery(14, true, threads), &t_stats);
-    ExpectIdenticalResults(off, got);
-    EXPECT_EQ(t_stats.distance_computations, on_stats.distance_computations);
-    EXPECT_EQ(t_stats.quant_tile_skips, on_stats.quant_tile_skips);
-  }
-}
-
-/// A legacy load rebuilds the quant tier from the float vectors, so a
-/// pre-quant snapshot answers identically with the pre-filter on.
-TEST_F(SnapshotTest, LegacyLoadRebuildsQuantTier) {
-  PexesoIndex ancient = MustLoad(V1Path());
-  PexesoSearcher engine(&ancient);
-  VectorStore query = MakeClusteredQuery(7301, kDim, 14);
-  SearchStats on_stats;
-  auto on = MustSearch(engine, query, MakeJoinQuery(14, true, 0), &on_stats);
-  EXPECT_GT(on_stats.quant_tile_skips, 0u);
-  auto off = MustSearch(engine, query, MakeJoinQuery(14, false, 0));
-  ExpectIdenticalResults(off, on);
 }
 
 /// Truncation / bit-flip corpus against the flat load path: every mutant
@@ -335,11 +298,9 @@ TEST_F(SnapshotTest, UpgradeRoundTripIsIdentical) {
   VectorStore query = MakeClusteredQuery(7301, kDim, 14);
   PexesoSearcher flat_engine(&flat);
   PexesoSearcher legacy_engine(&legacy);
-  for (bool quant : {false, true}) {
-    auto a = MustSearch(flat_engine, query, MakeJoinQuery(14, quant, 0));
-    auto b = MustSearch(legacy_engine, query, MakeJoinQuery(14, quant, 0));
-    ExpectIdenticalResults(a, b);
-  }
+  auto a = MustSearch(flat_engine, query, MakeJoinQuery(14, 0));
+  auto b = MustSearch(legacy_engine, query, MakeJoinQuery(14, 0));
+  ExpectIdenticalResults(a, b);
   std::filesystem::remove(upgraded);
 }
 
@@ -377,6 +338,207 @@ TEST_F(SnapshotTest, CacheChargesAndReportsMappedBytes) {
   stats = cache.stats();
   EXPECT_EQ(stats.bytes_resident, 0u);
   EXPECT_EQ(stats.bytes_mapped, 0u);
+}
+
+/// A flat snapshot written by the last release that carried the int8
+/// pre-filter tier: MakeClusteredCatalog(9101, dim 8, 6 columns of 8 rows)
+/// under L2 with 3 pivots and 3 grid levels. Its prelude quant byte is 1
+/// and it carries section kinds 10-12 (the tier's metadata, codes and error
+/// norms), which today's loader skips unread.
+const std::string kOldQuantFixture =
+    std::string(PEXESO_TEST_DATA_DIR) + "/l2_quant_v3.pxso";
+
+/// Offsets in the flat prelude: the retired quant byte follows magic,
+/// version, options, dim and the three counts; the section count and the
+/// 24-byte table entries (kind, reserved, offset, length) follow it.
+constexpr size_t kQuantByteOffset = 53;
+constexpr size_t kSectionCountOffset = 54;
+constexpr size_t kSectionTableOffset = 58;
+
+struct SectionEntry {
+  uint32_t kind;
+  uint64_t offset;
+  uint64_t length;
+};
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good());
+}
+
+std::vector<SectionEntry> SectionTable(const std::string& bytes) {
+  uint32_t n = 0;
+  std::memcpy(&n, bytes.data() + kSectionCountOffset, sizeof(n));
+  std::vector<SectionEntry> table(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    const char* e = bytes.data() + kSectionTableOffset + 24 * size_t{i};
+    std::memcpy(&table[i].kind, e, sizeof(uint32_t));
+    std::memcpy(&table[i].offset, e + 8, sizeof(uint64_t));
+    std::memcpy(&table[i].length, e + 16, sizeof(uint64_t));
+  }
+  return table;
+}
+
+bool HasRetiredSection(const std::string& bytes) {
+  for (const SectionEntry& e : SectionTable(bytes)) {
+    if (e.kind >= 10 && e.kind <= 12) return true;
+  }
+  return false;
+}
+
+/// Runs pexeso_cli with `args`, returning its exit status and output.
+int RunCli(const std::string& args, std::string* out) {
+  const std::string cmd = std::string(PEXESO_CLI_PATH) + " " + args + " 2>&1";
+  std::FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out->append(buf);
+  return pclose(pipe);
+}
+
+class OldQuantSnapshotTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "/old_quant_snapshot";
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  PexesoIndex MustLoad(const std::string& path) {
+    auto loaded = PexesoIndex::Load(path, &metric_);
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    return std::move(loaded).ValueOrDie();
+  }
+
+  /// The index's own column-0 vectors as a query, so column 0 must join.
+  static VectorStore Column0Query(const PexesoIndex& index) {
+    const ColumnCatalog& catalog = index.catalog();
+    const ColumnMeta& c0 = catalog.column(0);
+    VectorStore query(catalog.dim());
+    for (uint32_t i = 0; i < c0.count; ++i) {
+      query.Add(std::span<const float>(catalog.store().View(c0.first + i),
+                                       catalog.dim()));
+    }
+    return query;
+  }
+
+  std::vector<JoinableColumn> Answer(const PexesoIndex& index,
+                                     const VectorStore& query) {
+    FractionalThresholds ft{0.07, 0.4};
+    JoinQuery jq;
+    jq.thresholds = ft.Resolve(metric_, query.dim(), query.size());
+    jq.collect_mappings = true;
+    PexesoSearcher engine(&index);
+    return MustSearch(engine, query, jq);
+  }
+
+  L2Metric metric_;
+  std::string dir_;
+};
+
+/// The old file verifies, loads mapped, and answers byte-identically to the
+/// same index re-saved by today's writer, which drops the retired sections
+/// and writes the quant byte as 0.
+TEST_F(OldQuantSnapshotTest, LoadsAndMatchesItsResave) {
+  const std::string old_bytes = ReadBytes(kOldQuantFixture);
+  ASSERT_GT(old_bytes.size(), kSectionTableOffset);
+  ASSERT_EQ(old_bytes[kQuantByteOffset], 1);
+  ASSERT_TRUE(HasRetiredSection(old_bytes));
+  ASSERT_TRUE(PexesoIndex::VerifySnapshot(kOldQuantFixture).ok());
+
+  PexesoIndex old = MustLoad(kOldQuantFixture);
+  EXPECT_TRUE(old.is_mapped());
+  EXPECT_TRUE(old.loaded_retired_sections());
+  const VectorStore query = Column0Query(old);
+  const auto reference = Answer(old, query);
+  ASSERT_FALSE(reference.empty());
+
+  const std::string resaved = dir_ + "/resaved.pxso";
+  {
+    PexesoIndex copy = MustLoad(kOldQuantFixture);
+    copy.Materialize();
+    ASSERT_TRUE(copy.Save(resaved).ok());
+  }
+  const std::string new_bytes = ReadBytes(resaved);
+  EXPECT_EQ(new_bytes[kQuantByteOffset], 0);
+  EXPECT_FALSE(HasRetiredSection(new_bytes));
+  EXPECT_LT(new_bytes.size(), old_bytes.size());
+
+  PexesoIndex fresh = MustLoad(resaved);
+  EXPECT_TRUE(fresh.is_mapped());
+  EXPECT_FALSE(fresh.loaded_retired_sections());
+  ExpectIdenticalResults(reference, Answer(fresh, query));
+}
+
+/// Flipping every byte of the retired codes section (kind 11) and
+/// re-sealing the footer changes nothing: the loader never reads it.
+TEST_F(OldQuantSnapshotTest, RetiredSectionBytesAreNeverRead) {
+  PexesoIndex old = MustLoad(kOldQuantFixture);
+  const VectorStore query = Column0Query(old);
+  const auto reference = Answer(old, query);
+  ASSERT_FALSE(reference.empty());
+
+  std::string bytes = ReadBytes(kOldQuantFixture);
+  bool flipped = false;
+  for (const SectionEntry& e : SectionTable(bytes)) {
+    if (e.kind != 11) continue;
+    ASSERT_GT(e.length, 0u);
+    ASSERT_LE(e.offset + e.length, bytes.size() - 8);
+    for (uint64_t i = e.offset; i < e.offset + e.length; ++i) {
+      bytes[i] = static_cast<char>(bytes[i] ^ 0xFF);
+    }
+    flipped = true;
+  }
+  ASSERT_TRUE(flipped);
+  const uint32_t crc = Crc32Update(0, bytes.data(), bytes.size() - 8);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+  const std::string mutant = dir_ + "/flipped.pxso";
+  WriteBytes(mutant, bytes);
+
+  ASSERT_TRUE(PexesoIndex::VerifySnapshot(mutant).ok());
+  PexesoIndex loaded = MustLoad(mutant);
+  EXPECT_TRUE(loaded.loaded_retired_sections());
+  ExpectIdenticalResults(reference, Answer(loaded, query));
+}
+
+/// `pexeso_cli snapshot --upgrade` rewrites an old flat file without its
+/// retired sections, the result answers the same, and a second upgrade
+/// skips the now-current file.
+TEST_F(OldQuantSnapshotTest, CliUpgradeDropsRetiredSections) {
+  PexesoIndex old = MustLoad(kOldQuantFixture);
+  const VectorStore query = Column0Query(old);
+  const auto reference = Answer(old, query);
+  ASSERT_FALSE(reference.empty());
+
+  const std::string path = dir_ + "/upgrade.pxso";
+  std::filesystem::copy_file(kOldQuantFixture, path);
+  const auto old_size = std::filesystem::file_size(path);
+
+  const std::string args = "snapshot --index '" + path + "' --upgrade";
+  std::string out;
+  ASSERT_EQ(RunCli(args, &out), 0) << out;
+  EXPECT_NE(out.find("retired sections dropped"), std::string::npos) << out;
+  const auto new_size = std::filesystem::file_size(path);
+  EXPECT_LT(new_size, old_size);
+  EXPECT_FALSE(HasRetiredSection(ReadBytes(path)));
+  {
+    PexesoIndex upgraded = MustLoad(path);
+    EXPECT_FALSE(upgraded.loaded_retired_sections());
+    ExpectIdenticalResults(reference, Answer(upgraded, query));
+  }
+
+  out.clear();
+  ASSERT_EQ(RunCli(args, &out), 0) << out;
+  EXPECT_NE(out.find("skipped"), std::string::npos) << out;
+  EXPECT_EQ(std::filesystem::file_size(path), new_size);
 }
 
 }  // namespace

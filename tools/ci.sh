@@ -35,12 +35,6 @@ if [[ -x "$BUILD_DIR/bench/bench_micro" ]]; then
   "$BUILD_DIR/bench/bench_micro" --benchmark_filter='^$'
 fi
 
-if [[ -x "$BUILD_DIR/bench/bench_serve" ]]; then
-  # Writes BENCH_serve.json (cold vs warm partitioned batch throughput
-  # through the serving-layer index cache).
-  "$BUILD_DIR/bench/bench_serve"
-fi
-
 if [[ -x "$BUILD_DIR/bench/bench_pipeline" ]]; then
   # Writes BENCH_pipeline.json (tiled-vs-per-pair verification throughput,
   # candidate-generation regression guard, intra-query thread scaling).
@@ -54,30 +48,10 @@ if [[ -x "$BUILD_DIR/bench/bench_topk" ]]; then
   "$BUILD_DIR/bench/bench_topk"
 fi
 
-if [[ -x "$BUILD_DIR/bench/bench_ingest" ]]; then
-  # Writes BENCH_ingest.json (live-lake query throughput while appends,
-  # drops and background merges churn, vs the compacted static lake).
-  "$BUILD_DIR/bench/bench_ingest"
-fi
-
 if [[ -x "$BUILD_DIR/bench/bench_snapshot" ]]; then
   # Writes BENCH_snapshot.json (flat-vs-streamed cold-load wall time, heap
-  # vs mapped residency, and the quant pre-filter's float-distance
-  # reduction — the reduction is counter-based, so 1-core stable).
+  # vs mapped residency).
   "$BUILD_DIR/bench/bench_snapshot"
-fi
-
-if [[ -x "$BUILD_DIR/bench/bench_net" ]]; then
-  # Writes BENCH_net.json (loopback wire-protocol serving: queries/sec,
-  # protocol bytes per query, parity vs the in-process engine).
-  "$BUILD_DIR/bench/bench_net"
-fi
-
-if [[ -x "$BUILD_DIR/bench/bench_shard" ]]; then
-  # Writes BENCH_shard.json (scatter-gather sharding: distance computations
-  # with the global top-k floor shared vs not, wire bytes over a loopback
-  # 2-shard fleet, parity vs the single-node engine — counter-based).
-  "$BUILD_DIR/bench/bench_shard"
 fi
 
 # Loopback smoke: a real pexeso_server process on an ephemeral port, a real
@@ -272,7 +246,8 @@ if [[ "${PEXESO_CI_SANITIZE:-1}" == "1" ]]; then
   # server paths are exactly where a length-prefix over-read would live.
   # snapshot_test joins for the mmap load path: section-table validation
   # over the corruption corpus is where an out-of-bounds view binding
-  # would hide, and the quant tier's int8 kernels run under UBSan here.
+  # would hide, and the old-format fixture's retired sections must be
+  # skipped without a read past their bounds.
   # shard_test joins for the coordinator: hedge losers are cancelled and
   # joined while the winner's outcome is being moved out — exactly where a
   # use-after-scope on the attempt frame would live. part_executor_test

@@ -283,7 +283,7 @@ int Usage() {
                "--cache-mb MB --engine ... --model ... --dim D]\n"
                "  info   --index FILE|PARTDIR\n"
                "  snapshot --index FILE|PARTDIR --upgrade [--metric ...]: "
-               "rewrite legacy heap snapshots as the flat mmap format v2\n"
+               "rewrite legacy snapshots as the current flat mmap format v2\n"
                "  fsck   LAKEDIR [--repair] [--no-crc]\n"
                "  query  --connect HOST:PORT --query CSV [--column NAME "
                "--tau F --t F --topk K --deadline-ms MS --mappings --stats "
@@ -919,7 +919,8 @@ int CmdInfo(const Flags& flags) {
 
 /// Rewrites one snapshot file as the current flat mmap-friendly format
 /// (disk version 3), via a temp file + rename so a crash mid-rewrite never
-/// clobbers the original. Skips files already current.
+/// clobbers the original. Flat files that still carry the retired int8
+/// tier sections are rewritten without them; current files are skipped.
 int UpgradeOneSnapshot(const std::string& path, const Metric* metric) {
   auto loaded = PexesoIndex::Load(path, metric);
   if (!loaded.ok()) {
@@ -928,7 +929,7 @@ int UpgradeOneSnapshot(const std::string& path, const Metric* metric) {
     return 1;
   }
   PexesoIndex index = std::move(loaded).ValueOrDie();
-  if (index.is_mapped()) {
+  if (index.is_mapped() && !index.loaded_retired_sections()) {
     std::printf("%s: already format v2 (mmap), skipped\n", path.c_str());
     return 0;
   }
@@ -950,15 +951,18 @@ int UpgradeOneSnapshot(const std::string& path, const Metric* metric) {
     std::filesystem::remove(tmp, ec);
     return 1;
   }
-  std::printf("%s: upgraded disk version %u -> 3 (format v2, %.2f MB)\n",
+  std::printf("%s: upgraded disk version %u -> 3 (format v2%s, %.2f MB)\n",
               path.c_str(), from,
+              index.loaded_retired_sections() ? ", retired sections dropped"
+                                              : "",
               std::filesystem::file_size(path, ec) / 1e6);
   return 0;
 }
 
 /// `snapshot` subcommand: snapshot-file maintenance. --upgrade rewrites
 /// legacy heap snapshots (disk versions 1/2) as the flat mmap-friendly
-/// format v2; a partition directory upgrades every part-*.pxso in it.
+/// format v2 and strips retired sections from older flat files; a
+/// partition directory upgrades every part-*.pxso in it.
 int CmdSnapshot(const Flags& flags) {
   const std::string index_path = flags.Get("index");
   if (index_path.empty() || !flags.Has("upgrade")) return Usage();
